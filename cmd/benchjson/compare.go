@@ -55,18 +55,11 @@ func fmtDelta(old, new float64) string {
 
 // compareReports prints per-benchmark deltas of current vs baseline
 // and returns an error naming every benchmark whose allocs/op grew by
-// more than tolerance percent, or — when timeTolerance > 0 — whose
-// ns/op grew by more than timeTolerance percent. The time gate is off
-// by default because ns/op flakes with machine load; opting in with a
-// generous threshold still catches order-of-magnitude hot-loop
-// regressions. It also applies only to benchmarks whose baseline ns/op
-// is at least timeFloor: a macro benchmark's single op spans millions
-// of instructions and averages the noise out even at -benchtime 1x,
-// while a microsecond-scale benchmark at 1x measures mostly the timer,
-// and routinely "regresses" 2-3x on a loaded machine. Benchmarks
-// present on only one side are reported but never fail the comparison
-// (suites grow and shrink).
-func compareReports(baseline, current *Report, tolerance, timeTolerance, timeFloor float64, w io.Writer) error {
+// more than tolerance percent. ns/op is printed and never gated: at
+// -benchtime 1x it moves with machine load, and timing claims belong
+// to `go run ./benchmark`. Benchmarks present on only one side are
+// reported but never fail the comparison (suites grow and shrink).
+func compareReports(baseline, current *Report, tolerance float64, w io.Writer) error {
 	base := make(map[string]Benchmark, len(baseline.Benchmarks))
 	for _, b := range baseline.Benchmarks {
 		base[benchKey(b)] = b
@@ -100,12 +93,6 @@ func compareReports(baseline, current *Report, tolerance, timeTolerance, timeFlo
 			regressed = append(regressed, fmt.Sprintf("%s (%.0f -> %.0f allocs/op)",
 				cur.Name, old.AllocsPerOp, cur.AllocsPerOp))
 		}
-		if timeTolerance > 0 && old.NsPerOp >= timeFloor {
-			if pct, ok := pctDelta(old.NsPerOp, cur.NsPerOp); ok && pct > timeTolerance {
-				regressed = append(regressed, fmt.Sprintf("%s (%.0f -> %.0f ns/op, %+.1f%%)",
-					cur.Name, old.NsPerOp, cur.NsPerOp, pct))
-			}
-		}
 	}
 	for _, b := range baseline.Benchmarks {
 		if !seen[benchKey(b)] {
@@ -120,15 +107,8 @@ func compareReports(baseline, current *Report, tolerance, timeTolerance, timeFlo
 	}
 
 	if len(regressed) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed beyond tolerance (allocs/op > %.1f%%, ns/op gate %s): %v",
-			len(regressed), tolerance, timeGateDesc(timeTolerance), regressed)
+		return fmt.Errorf("%d benchmark(s) regressed beyond tolerance (allocs/op > %.1f%%): %v",
+			len(regressed), tolerance, regressed)
 	}
 	return nil
-}
-
-func timeGateDesc(timeTolerance float64) string {
-	if timeTolerance <= 0 {
-		return "off"
-	}
-	return fmt.Sprintf("> %.1f%%", timeTolerance)
 }

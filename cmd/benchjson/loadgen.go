@@ -9,10 +9,8 @@ import (
 
 // loadgenBenchmarks folds a cmd/loadgen run report into benchmark
 // rows, so live-path throughput/latency/failover numbers ride the same
-// BENCH_<n>.json files (and the same compare gates) as the simulator
-// benchmarks. Mean request latency maps onto ns/op — the unit the
-// -time-tolerance gate already understands — and everything else lands
-// in Extra.
+// BENCH_<n>.json files as the simulator benchmarks. Mean request
+// latency maps onto ns/op and everything else lands in Extra.
 func loadgenBenchmarks(rep *loadgen.Report) []Benchmark {
 	name := fmt.Sprintf("Loadgen/%s/nodes=%d/conns=%d", rep.Alg, rep.Nodes, rep.Conns)
 	r := rep.Result

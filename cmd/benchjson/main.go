@@ -4,16 +4,14 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson -o BENCH_2.json
+//	go test -run '^$' -bench . -benchmem ./... | benchjson -o BENCH_10.json
 //
 // With -baseline it additionally compares the fresh results against a
 // committed report, printing per-benchmark deltas (ns/op, B/op,
 // allocs/op) and exiting non-zero when any benchmark's allocs/op grew
-// by more than -tolerance percent. An optional -time-tolerance gate
-// (off by default: ns/op is load-sensitive) additionally fails the
-// comparison when any benchmark's ns/op grew beyond its threshold:
+// by more than -tolerance percent (ns/op is printed, never gated):
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson -baseline BENCH_2.json -time-tolerance 75
+//	go test -run '^$' -bench . -benchmem ./... | benchjson -baseline BENCH_10.json
 //
 // -loadgen folds cmd/loadgen -json run reports into the same file as
 // pseudo-benchmarks (mean request latency as ns/op; throughput,
@@ -21,7 +19,7 @@
 // cluster runs can be committed and diffed like any other benchmark:
 //
 //	loadgen -inproc 3 -duration 5s -partition 2s -json run.json
-//	benchjson -loadgen run.json -o BENCH_6.json </dev/null
+//	benchjson -loadgen run.json -o BENCH_10.json </dev/null
 //
 // -campaign does the same for quorumcheck -json campaign reports
 // (local or farmed): wall time per injected change as ns/op, with
@@ -62,8 +60,6 @@ func run(args []string, in io.Reader, stdout io.Writer) error {
 	out := fs.String("o", "", "output file (default stdout; compare mode prints deltas instead)")
 	baseline := fs.String("baseline", "", "committed BENCH_<n>.json to diff against; exits non-zero on regression")
 	tolerance := fs.Float64("tolerance", 2, "allowed allocs/op growth percentage in compare mode")
-	timeTolerance := fs.Float64("time-tolerance", 0, "allowed ns/op growth percentage in compare mode (0 disables the time gate; ns/op is load-sensitive, so prefer generous thresholds)")
-	timeFloor := fs.Float64("time-floor", 50000, "ns/op gate applies only to benchmarks whose baseline ns/op is at least this (micro-benchmarks at -benchtime 1x are timer noise)")
 	var loadgenFiles stringList
 	fs.Var(&loadgenFiles, "loadgen", "loadgen -json report file to fold in as pseudo-benchmarks (repeatable; with no bench output, pipe </dev/null)")
 	var campaignFiles stringList
@@ -101,7 +97,7 @@ func run(args []string, in io.Reader, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return compareReports(base, report, *tolerance, *timeTolerance, *timeFloor, stdout)
+		return compareReports(base, report, *tolerance, stdout)
 	}
 	if *out == "" {
 		buf, err := json.MarshalIndent(report, "", "  ")

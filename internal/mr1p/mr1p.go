@@ -114,14 +114,9 @@ var (
 // contain all participating processes; it is the primary everyone
 // starts in.
 func New(self proc.ID, initial view.View) *Algorithm {
-	return &Algorithm{
-		self:        self,
-		initial:     initial,
-		curPrimary:  initial,
-		inPrimary:   true,
-		formedViews: map[int64]view.View{initial.ID: initial},
-		cur:         initial,
-	}
+	a := new(Algorithm)
+	a.Reset(self, initial)
+	return a
 }
 
 // Factory returns the host-facing description of MR1p.
@@ -168,9 +163,10 @@ func (a *Algorithm) Poll() []core.Message {
 	return out
 }
 
-// Reset implements core.Resetter: it restores the instance to the
-// state New(self, initial) would produce, clearing the retained maps
-// and truncating the send-queue buffers instead of reallocating them.
+// Reset implements core.Resetter and is the one initialisation path
+// (New is a zero value plus Reset): the instance starts in the
+// initial view as its primary, with the retained maps cleared and the
+// send-queue buffers truncated instead of reallocated.
 func (a *Algorithm) Reset(self proc.ID, initial view.View) {
 	a.self = self
 	a.initial = initial
@@ -179,6 +175,9 @@ func (a *Algorithm) Reset(self proc.ID, initial view.View) {
 	a.num = 0
 	a.status = statusNone
 	a.inPrimary = true
+	if a.formedViews == nil {
+		a.formedViews = make(map[int64]view.View, 1)
+	}
 	clear(a.formedViews)
 	a.formedViews[initial.ID] = initial
 

@@ -18,6 +18,9 @@ import (
 // truncation that retains the backing array across view changes. The
 // insertion points are found by binary search so the tables stay cheap
 // at the scaling sweep's 128–256 reporters, not just the thesis's 64.
+// Against maps the end-to-end difference is unresolved (DESIGN.md
+// "Ablations"); the micro-benchmarks in tables_bench_test.go are what
+// the tables rest on.
 
 // queryEntry is one round-1 report: who sent it and what they knew.
 type queryEntry struct {

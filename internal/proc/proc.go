@@ -328,15 +328,6 @@ func (s Set) IntersectCount(t Set) int {
 	return c
 }
 
-// InlineWords returns the fixed inline word array of s and whether the
-// set fits entirely in it (no overflow words). Every configuration up
-// to InlineProcs processes qualifies, so callers like package quorum
-// use this as the precondition for straight-line popcount arithmetic
-// that avoids the general variable-length word loops.
-func (s Set) InlineWords() ([inlineWords]uint64, bool) {
-	return s.w, len(s.rest) == 0
-}
-
 // Bitmap returns the set's complete word list without copying: the
 // overflow slice when one exists, otherwise the inline array. Word i
 // covers IDs [64i, 64i+63]; inline sets always yield inlineWords words

@@ -7,14 +7,12 @@
 // MR1p (thesis Fig 3-4); the simple-majority baseline uses the plain
 // majority rule against the original process set.
 //
-// Both predicates sit on the simulator's hottest path — every DECIDE,
-// every resolution tally — so the ≤256-process case (every thesis
-// configuration plus the scaling sweep) is special-cased to
-// straight-line popcounts over the sets' fixed inline word arrays.
-// Beyond that, the general path runs one fused word-parallel loop over
-// the sets' full word lists (proc.Set.Bitmap), computing |y|, |x ∩ y|,
-// and the tie-breaker membership in a single pass; quorum evaluation
-// never iterates set elements one by one at any width.
+// Both predicates sit on the simulator's hot path — every DECIDE, every
+// resolution tally — and run as one fused word-parallel loop over the
+// sets' word lists (proc.Set.Bitmap), computing |y|, |x ∩ y| and the
+// tie-breaker membership in a single pass with no allocation. The same
+// loop serves every universe width (DESIGN.md "Ablations" has the
+// measurement against a straight-line ≤256-process case).
 package quorum
 
 import (
@@ -33,40 +31,6 @@ import (
 // An empty y has no subquorums: with no previous membership to anchor
 // to, no group may claim succession.
 func SubQuorum(x, y proc.Set) bool {
-	if yw, ok := y.InlineWords(); ok {
-		if xw, ok := x.InlineWords(); ok {
-			total := bits.OnesCount64(yw[0]) + bits.OnesCount64(yw[1]) +
-				bits.OnesCount64(yw[2]) + bits.OnesCount64(yw[3])
-			if total == 0 {
-				return false
-			}
-			common := bits.OnesCount64(xw[0]&yw[0]) + bits.OnesCount64(xw[1]&yw[1]) +
-				bits.OnesCount64(xw[2]&yw[2]) + bits.OnesCount64(xw[3]&yw[3])
-			if 2*common > total {
-				return true
-			}
-			if 2*common != total {
-				return false
-			}
-			// The first nonzero word of y holds its lexically smallest
-			// member; w & -w isolates that lowest set bit — the dynamic
-			// linear voting tie-breaker — which must also be in x.
-			for i, w := range yw {
-				if w != 0 {
-					return xw[i]&(w&-w) != 0
-				}
-			}
-			return false
-		}
-	}
-	return subQuorumWide(&x, &y)
-}
-
-// subQuorumWide is the arbitrary-width path: one pass over y's word
-// list accumulating |y| and |x ∩ y|, capturing the tie-breaker test on
-// the first nonzero word (whose lowest set bit is y's lexically
-// smallest member) along the way. No allocation at any universe size.
-func subQuorumWide(x, y *proc.Set) bool {
 	xw, yw := x.Bitmap(), y.Bitmap()
 	total, common := 0, 0
 	tie, seen := false, false
@@ -81,6 +45,9 @@ func subQuorumWide(x, y *proc.Set) bool {
 		total += bits.OnesCount64(w)
 		common += bits.OnesCount64(xv & w)
 		if !seen {
+			// The first nonzero word of y holds its lexically smallest
+			// member; w & -w isolates that lowest set bit — the dynamic
+			// linear voting tie-breaker — which must also be in x.
 			seen = true
 			tie = xv&(w&-w) != 0
 		}
@@ -96,21 +63,6 @@ func subQuorumWide(x, y *proc.Set) bool {
 
 // Majority reports whether x holds a strict majority of y.
 func Majority(x, y proc.Set) bool {
-	if yw, ok := y.InlineWords(); ok {
-		if xw, ok := x.InlineWords(); ok {
-			total := bits.OnesCount64(yw[0]) + bits.OnesCount64(yw[1]) +
-				bits.OnesCount64(yw[2]) + bits.OnesCount64(yw[3])
-			common := bits.OnesCount64(xw[0]&yw[0]) + bits.OnesCount64(xw[1]&yw[1]) +
-				bits.OnesCount64(xw[2]&yw[2]) + bits.OnesCount64(xw[3]&yw[3])
-			return total > 0 && 2*common > total
-		}
-	}
-	return majorityWide(&x, &y)
-}
-
-// majorityWide fuses |y| and |x ∩ y| into one word-parallel pass, the
-// tie-free counterpart of subQuorumWide.
-func majorityWide(x, y *proc.Set) bool {
 	xw, yw := x.Bitmap(), y.Bitmap()
 	total, common := 0, 0
 	for i, w := range yw {

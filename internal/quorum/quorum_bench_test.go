@@ -7,11 +7,10 @@ import (
 	"dynvote/internal/quorum"
 )
 
-// SubQuorum and Majority sit on every algorithm's view-change path; the
-// inline popcount fast path must stay a handful of instructions. The
-// multi-word variants exercise membership spanning several of the four
-// inline words; the overflow variants (>256 procs) exercise the general
-// word-walk fallback.
+// SubQuorum and Majority sit on every algorithm's view-change path. One
+// word loop serves every width: the single- and multi-word variants
+// walk the four inline words of a proc.Set, the overflow variants
+// (>256 procs) its overflow word list.
 
 var sink bool
 
@@ -69,8 +68,8 @@ func BenchmarkMajorityOverflow(b *testing.B) {
 	}
 }
 
-// The kilo-process variants pin the fused wide path at 16 words: one
-// pass, zero allocations.
+// The kilo-process variants pin the loop at 16 words: one pass, zero
+// allocations.
 
 func BenchmarkSubQuorumKilo(b *testing.B) {
 	old := proc.Universe(1024)

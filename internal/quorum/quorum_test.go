@@ -120,25 +120,37 @@ func TestSubQuorumMajorityRelation(t *testing.T) {
 	}
 }
 
-// TestWideAgainstReference cross-checks the fused kilo-process word
-// loop against the definitional three-pass evaluation (Count,
-// IntersectCount, Smallest) on random pairs spanning the overflow
-// boundaries, including mismatched widths where x is much narrower
-// than y.
-func TestWideAgainstReference(t *testing.T) {
-	for _, n := range []int{257, 511, 512, 513, 1023, 1024, 1025} {
+// TestAgainstBruteForce cross-checks the fused word loop — the one path
+// every width takes — against a member-by-member count on random pairs
+// at the thesis width, both sides of the inline/overflow boundary of
+// proc.Set and the kilo-process width, including mismatched widths
+// where x is much narrower than y.
+func TestAgainstBruteForce(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025} {
 		r := rand.New(rand.NewSource(int64(n)))
 		for round := 0; round < 200; round++ {
 			y := randomNonEmpty(r, n)
 			x := randomNonEmpty(r, 1+r.Intn(n))
-			total, common := y.Count(), x.IntersectCount(y)
-			wantSub := 2*common > total || (2*common == total && x.Contains(y.Smallest()))
+			total, common, smallest := 0, 0, proc.None
+			for q := proc.ID(0); int(q) < n; q++ {
+				if !y.Contains(q) {
+					continue
+				}
+				if smallest == proc.None {
+					smallest = q
+				}
+				total++
+				if x.Contains(q) {
+					common++
+				}
+			}
+			wantSub := 2*common > total || (2*common == total && x.Contains(smallest))
 			wantMaj := 2*common > total
 			if got := SubQuorum(x, y); got != wantSub {
-				t.Fatalf("n=%d round=%d: SubQuorum = %v, reference = %v", n, round, got, wantSub)
+				t.Fatalf("n=%d round=%d: SubQuorum = %v, brute force = %v", n, round, got, wantSub)
 			}
 			if got := Majority(x, y); got != wantMaj {
-				t.Fatalf("n=%d round=%d: Majority = %v, reference = %v", n, round, got, wantMaj)
+				t.Fatalf("n=%d round=%d: Majority = %v, brute force = %v", n, round, got, wantMaj)
 			}
 		}
 	}
@@ -169,8 +181,8 @@ func TestWideTieBreak(t *testing.T) {
 	}
 }
 
-// TestWideQuorumAllocFree pins the fused path's allocation contract at
-// 1024 processes.
+// TestWideQuorumAllocFree pins the allocation contract at 1024
+// processes.
 func TestWideQuorumAllocFree(t *testing.T) {
 	y := proc.Universe(1024)
 	x := proc.Universe(700)

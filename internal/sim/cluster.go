@@ -69,16 +69,18 @@ type Cluster struct {
 	// carved from the grow-only ID blocks across runs, so the
 	// steady-state fan-out path never touches the heap. free recycles
 	// envelopes within a run (the cursor only moves at high-water).
+	// Neither arena moves ops_per_s; both are kept by the allocs/op of
+	// BenchmarkSingleRun1024 in make bench-compare (DESIGN.md
+	// "Ablations").
 	envChunks [][]envelope
 	envUsed   int         // envelopes issued from the arena since the last Reset
 	idBlocks  []proc.ID   // current recipient-ID block being carved
 	free      []*envelope // recycled envelopes with reusable recipient slices
 
-	recipBase     [][]proc.ID        // per-sender members-minus-sender, ascending order
-	recipView     []int64            // view ID each recipBase entry was built for (-1: none)
-	memberScratch []proc.ID          // IssueViews shuffle buffer
-	viewsOut      []view.View        // CurrentViews result, reused per call
-	viewSeen      map[int64]struct{} // CurrentViews dedup fallback, reused
+	recipBase     [][]proc.ID // per-sender members-minus-sender, ascending order
+	recipView     []int64     // view ID each recipBase entry was built for (-1: none)
+	memberScratch []proc.ID   // IssueViews shuffle buffer
+	viewsOut      []view.View // CurrentViews result, reused per call
 
 	// Drop, when non-nil, filters individual deliveries (tests only).
 	Drop DropFilter
@@ -554,28 +556,21 @@ func (c *Cluster) RunToQuiescence(r *rng.Source, maxRounds int) (int, error) {
 func (c *Cluster) Quiescent() bool { return c.pending == 0 }
 
 // CurrentViews returns the distinct current views, i.e. the network
-// components as the processes perceive them. The returned slice is
-// reused by the next CurrentViews call: it is valid until then, which
-// covers every checker-style caller that iterates it immediately.
+// components as the processes perceive them, each once, in the order of
+// its lowest-numbered live member. The returned slice is reused by the
+// next CurrentViews call: it is valid until then, which covers every
+// checker-style caller that iterates it immediately.
 //
-// Dedup runs over the accumulating result itself instead of a hash
-// set: the checker calls this after every message round, views are
-// issued to members in contiguous ID ranges so consecutive processes
-// usually share a view (the recent-ID check catches them in one
-// compare), and the distinct-view count is bounded by the component
-// count — usually a handful — so the linear scan stays a few word
-// compares. The old map probe per process dominated the checker's
-// profile in long soaks. Only when a run shatters into many components
-// (large-N topologies can hold dozens of singletons) does the dedup
-// switch to a reused hash set, keeping the call linear in the process
-// count rather than quadratic in the component count.
+// Dedup is a scan of the accumulating result. The checker calls this
+// after every message round; views are issued to members in contiguous
+// ID ranges, so consecutive processes usually share a view and the
+// previous-ID compare catches them, and the rest scan a list as long as
+// the component count (DESIGN.md "Ablations" has the measurement
+// against a hash set for many-component runs).
 func (c *Cluster) CurrentViews() []view.View {
-	// Past this many distinct views, linear rescans cost more than
-	// hashing; build the map fallback once and use it from there on.
-	const linearScanMax = 16
 	out := c.viewsOut[:0]
-	var seen map[int64]struct{}
 	last := int64(-1) // view IDs issued by netsim are non-negative
+next:
 	for p := 0; p < c.n; p++ {
 		if c.crashedFlag[p] {
 			continue
@@ -585,34 +580,12 @@ func (c *Cluster) CurrentViews() []view.View {
 			continue
 		}
 		last = v.ID
-		if seen == nil && len(out) > linearScanMax {
-			if c.viewSeen == nil {
-				c.viewSeen = make(map[int64]struct{}, 2*linearScanMax)
-			} else {
-				clear(c.viewSeen)
-			}
-			seen = c.viewSeen
-			for i := range out {
-				seen[out[i].ID] = struct{}{}
-			}
-		}
-		if seen != nil {
-			if _, dup := seen[v.ID]; !dup {
-				seen[v.ID] = struct{}{}
-				out = append(out, *v)
-			}
-			continue
-		}
-		dup := false
 		for i := range out {
 			if out[i].ID == v.ID {
-				dup = true
-				break
+				continue next
 			}
 		}
-		if !dup {
-			out = append(out, *v)
-		}
+		out = append(out, *v)
 	}
 	c.viewsOut = out
 	return out

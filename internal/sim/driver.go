@@ -301,13 +301,11 @@ func (d *Driver) Run() (RunResult, error) {
 	return res, nil
 }
 
-// violation flushes the interrupted run's metric tallies (the work up
-// to the failure still counts) and annotates a checker error with the
-// retained history, when one is attached: the soak's last moments are
-// exactly what a post-mortem needs, and they would otherwise be gone
-// by the time the error surfaces.
+// violation annotates a checker error with the retained history, when
+// one is attached: the soak's last moments are exactly what a
+// post-mortem needs, and they would otherwise be gone by the time the
+// error surfaces.
 func (d *Driver) violation(err error) error {
-	d.metrics.flush()
 	if d.cfg.Trace == nil {
 		return err
 	}

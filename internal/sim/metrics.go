@@ -10,11 +10,12 @@ import (
 // the delivery path adds no allocations and no atomic traffic when
 // metrics are disabled (see BenchmarkDriverMetricsOverhead).
 //
-// A Metrics value belongs to one Driver and is not goroutine-safe: the
-// high-frequency observations accumulate in plain local tallies (the
-// driver loop is single-threaded) and flush() pushes them into the
-// shared atomic counters once per run. Registry readers therefore see
-// run-granular totals — exact between runs, slightly stale during one.
+// Every observation adds straight to its registry counter. None runs
+// per delivery — the cluster reports once per DeliverBatch and
+// IssueViews, the driver once per round, change and checker pass — so
+// the atomic adds are off the inner loop, and a registry reader sees
+// the work done so far at any moment, including after a run that a
+// checker violation cut short.
 type Metrics struct {
 	// Runs counts completed Driver.Run invocations.
 	Runs *metrics.Counter
@@ -42,12 +43,6 @@ type Metrics struct {
 	// Reform histograms per-run re-formation latency in rounds
 	// (successful runs only).
 	Reform *metrics.Histogram
-
-	// Local tallies for the hot-path observations, flushed per run.
-	rounds, settleRounds int64
-	delivered, dropped   int64
-	views, changes       int64
-	assertions           int64
 }
 
 // NewMetrics resolves the simulator's instruments from reg. A nil
@@ -74,31 +69,30 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 // Driver call sites to one line with a single branch on the disabled
 // path.
 
-// observeDeliveries absorbs one DeliverBatch's local tallies. Batching
-// is observable-equivalent to per-step observation: the tallies are
-// plain local accumulators either way, flushed per run.
+// observeDeliveries absorbs one DeliverBatch's tallies.
 func (m *Metrics) observeDeliveries(delivered, dropped int64) {
 	if m == nil {
 		return
 	}
-	m.delivered += delivered
-	m.dropped += dropped
+	m.Deliveries.Add(delivered + dropped)
+	m.Delivered.Add(delivered)
+	m.Dropped.Add(dropped)
 }
 
 func (m *Metrics) observeViews(n int) {
 	if m == nil {
 		return
 	}
-	m.views += int64(n)
+	m.Views.Add(int64(n))
 }
 
 func (m *Metrics) observeRound(settling bool) {
 	if m == nil {
 		return
 	}
-	m.rounds++
+	m.Rounds.Inc()
 	if settling {
-		m.settleRounds++
+		m.SettleRounds.Inc()
 	}
 }
 
@@ -106,14 +100,14 @@ func (m *Metrics) observeChange() {
 	if m == nil {
 		return
 	}
-	m.changes++
+	m.Changes.Inc()
 }
 
 func (m *Metrics) observeAssertion() {
 	if m == nil {
 		return
 	}
-	m.assertions++
+	m.Assertions.Inc()
 }
 
 func (m *Metrics) observeRun(res RunResult) {
@@ -124,25 +118,4 @@ func (m *Metrics) observeRun(res RunResult) {
 	if res.ReformRounds >= 0 {
 		m.Reform.Observe(float64(res.ReformRounds))
 	}
-	m.flush()
-}
-
-// flush pushes the run's local tallies into the shared counters and
-// zeroes them. Also called when a run aborts on a checker violation so
-// the work done up to the failure is still accounted for.
-func (m *Metrics) flush() {
-	if m == nil {
-		return
-	}
-	m.Rounds.Add(m.rounds)
-	m.SettleRounds.Add(m.settleRounds)
-	m.Deliveries.Add(m.delivered + m.dropped)
-	m.Delivered.Add(m.delivered)
-	m.Dropped.Add(m.dropped)
-	m.Views.Add(m.views)
-	m.Changes.Add(m.changes)
-	m.Assertions.Add(m.assertions)
-	m.rounds, m.settleRounds = 0, 0
-	m.delivered, m.dropped = 0, 0
-	m.views, m.changes, m.assertions = 0, 0, 0
 }

@@ -124,6 +124,64 @@ func TestViolationCarriesTrace(t *testing.T) {
 	}
 }
 
+// TestMetricsAfterViolation: a run cut short by the checker still
+// accounts for the work done up to the failure. The registry totals
+// are compared with two independent tallies of the same runs: the
+// RunResults (rounds, changes) and an unsampled trace big enough to
+// hold every event (deliveries, drops, view installations).
+func TestMetricsAfterViolation(t *testing.T) {
+	reg := metrics.NewRegistry()
+	rec := trace.NewRecorder(1 << 14)
+	d := sim.NewDriver(naive.Factory(), sim.Config{
+		Procs: 8, Changes: 10, MeanRounds: 1, CheckSafety: true, Metrics: reg, Trace: rec,
+	}, rng.New(29)) // the TestViolationCarriesTrace reproducer
+	var rounds, changes, completed int64
+	var err error
+	for run := 0; run < 10 && err == nil; run++ {
+		d.Heal()
+		var res sim.RunResult
+		res, err = d.Run()
+		rounds += int64(res.Rounds)
+		changes += int64(res.ChangesInjected)
+		if err == nil {
+			completed++
+		}
+	}
+	if err == nil {
+		t.Fatal("naive algorithm never violated safety under the soak")
+	}
+	traced := map[trace.Kind]int64{}
+	for _, ev := range rec.Events() {
+		traced[ev.Kind]++
+	}
+	if rec.Total() != uint64(rec.Len()) {
+		t.Fatalf("trace ring wrapped (%d events, %d kept): the tally is not complete", rec.Total(), rec.Len())
+	}
+
+	c := reg.Snapshot().Counters
+	for name, want := range map[string]int64{
+		"sim_runs_total":               completed,
+		"sim_rounds_total":             rounds,
+		"sim_changes_injected_total":   changes,
+		"sim_messages_delivered_total": traced[trace.KindDeliver],
+		"sim_messages_dropped_total":   traced[trace.KindDrop],
+		"sim_delivery_steps_total":     traced[trace.KindDeliver] + traced[trace.KindDrop],
+		"sim_views_installed_total":    traced[trace.KindView],
+	} {
+		if c[name] != want {
+			t.Errorf("%s = %d, want %d", name, c[name], want)
+		}
+	}
+	if traced[trace.KindChange] != changes {
+		t.Errorf("trace saw %d changes, the results %d", traced[trace.KindChange], changes)
+	}
+	// One CheckOnePrimary per round and one CheckStableAgreement per
+	// completed run; the violating check is the last one counted.
+	if got := c["sim_checker_assertions_total"]; got != rounds+completed && got != rounds+completed+1 {
+		t.Errorf("sim_checker_assertions_total = %d, want %d (+1 if the end-of-run check tripped)", got, rounds+completed)
+	}
+}
+
 // TestTraceSampling: delivery events are thinned by the sampling
 // factor while structural view events are always kept.
 func TestTraceSampling(t *testing.T) {

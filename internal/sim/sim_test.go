@@ -82,6 +82,40 @@ func TestViewSynchronousDrop(t *testing.T) {
 	}
 }
 
+// TestCurrentViewsManyComponents: a shattered cluster reports each
+// component exactly once, ordered by its lowest-numbered member, both
+// when every process is alone and when the two members of a component
+// sit half the cluster apart (so the duplicate is neither adjacent nor
+// near the front of the result).
+func TestCurrentViewsManyComponents(t *testing.T) {
+	for _, n := range []int{64, 1024} {
+		c := sim.NewCluster(majority.Factory(), n)
+		r := rng.New(int64(n))
+
+		singletons := make([]view.View, n)
+		for p := range singletons {
+			singletons[p] = view.View{ID: int64(1 + p), Members: proc.NewSet(proc.ID(p))}
+		}
+		pairs := make([]view.View, n/2)
+		for p := range pairs {
+			pairs[p] = view.View{ID: int64(1 + n + p), Members: proc.NewSet(proc.ID(p), proc.ID(p+n/2))}
+		}
+
+		for _, want := range [][]view.View{singletons, pairs} {
+			c.IssueViews(r, want...)
+			got := c.CurrentViews()
+			if len(got) != len(want) {
+				t.Fatalf("n=%d: %d views, want %d", n, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].ID != want[i].ID || !got[i].Members.Equal(want[i].Members) {
+					t.Fatalf("n=%d: view %d = %v, want %v", n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestDriverFreshRunStableTopology(t *testing.T) {
 	// Zero changes: the run stabilizes immediately with the initial
 	// primary intact.

@@ -11,9 +11,9 @@ import (
 )
 
 // BenchmarkCurrentViews measures the checker's per-round view scan on a
-// partitioned 64-process cluster: four components, so the dedup must
-// mix the consecutive-ID fast path (members of one component are
-// contiguous) with the short linear fallback.
+// partitioned 64-process cluster: four components, so the dedup mixes
+// the previous-ID compare (members of one component are contiguous)
+// with the scan of the result so far.
 func BenchmarkCurrentViews(b *testing.B) {
 	c := sim.NewCluster(ykd.Factory(ykd.VariantYKD), 64)
 	r := rng.New(3)

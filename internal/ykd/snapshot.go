@@ -28,10 +28,8 @@ func (a *Algorithm) Snapshot() ([]byte, error) {
 	w.Session(a.lastPrimary)
 	w.Varint(a.sessionNumber)
 
-	// lastFormed, grouped by session like the wire state message.
-	st := a.snapshotState(0)
-	w.Uvarint(uint64(len(st.Formed)))
-	for _, fe := range st.Formed {
+	w.Uvarint(uint64(len(a.formed)))
+	for _, fe := range a.formed {
 		w.Session(fe.Session)
 		w.Set(fe.Who)
 	}
@@ -68,21 +66,21 @@ func (a *Algorithm) Restore(data []byte) error {
 	if nf > maxListLen {
 		return fmt.Errorf("ykd: snapshot formed-group count %d too large", nf)
 	}
-	// Rebuild the interned table: one dictionary entry per wire group,
-	// index rows pointing at it. Entry 0 stays the zero Session for
-	// processes no group mentions.
-	formedIdx := make([]int32, len(a.formedIdx))
-	formedDict := make([]view.Session, 1, 1+int(nf))
-	for i := uint64(0); i < nf && r.Err() == nil; i++ {
-		s := r.Session()
-		who := r.Set()
-		idx := int32(len(formedDict))
-		formedDict = append(formedDict, s)
-		who.ForEach(func(q proc.ID) {
-			if int(q) < len(formedIdx) {
-				formedIdx[q] = idx
-			}
-		})
+	// The table is a partition of the initial membership and the group
+	// move in raiseFormed relies on it; a snapshot is outside input, so
+	// overlapping, empty or missing groups are refused here.
+	formed := make([]FormedEntry, 0, nf)
+	var covered proc.Set
+	for i := uint64(0); i < nf; i++ {
+		fe := FormedEntry{Session: r.Session(), Who: r.Set()}
+		if r.Err() != nil {
+			break
+		}
+		if fe.Who.Empty() || !fe.Who.Disjoint(covered) {
+			return fmt.Errorf("ykd: snapshot formed group %d (%v for %v) is empty or overlaps an earlier one", i, fe.Session, fe.Who)
+		}
+		covered = covered.Union(fe.Who)
+		formed = append(formed, fe)
 	}
 	na := r.Uvarint()
 	if na > maxListLen {
@@ -98,16 +96,19 @@ func (a *Algorithm) Restore(data []byte) error {
 	if r.Remaining() != 0 {
 		return fmt.Errorf("ykd: restore: %d trailing bytes", r.Remaining())
 	}
+	if !covered.Equal(a.initial.Members) {
+		return fmt.Errorf("ykd: snapshot formed groups cover %v, not the initial membership %v", covered, a.initial.Members)
+	}
 
 	a.lastPrimary = lastPrimary
 	a.sessionNumber = sessionNumber
-	a.formedIdx = formedIdx
-	a.formedDict = formedDict
+	a.formed = formed
 	a.ambiguous = ambiguous
 	// A recovered process is alone until the membership service says
-	// otherwise, and certainly not in a primary.
+	// otherwise, and certainly not in a primary. Whatever exchange the
+	// instance was in before Restore is not part of the restored state.
 	a.inPrimary = false
-	a.phase = phaseIdle
+	a.abandonExchange()
 	a.out = nil
 	return nil
 }

@@ -53,6 +53,23 @@
 //     blocks rather than pipeline attempts. In the worst case an
 //     unformed session resolves only when all its members reconnect
 //     (§3.2.3).
+//
+// # The lastFormed table
+//
+// Figure 3-3 keeps lastFormed as one entry per process. Entries change
+// only by whole sessions — ACCEPT and formation both assign one session
+// to all of its members whose entry is older — so at any moment the
+// table is a handful of (session, processes) groups that partition the
+// initial membership. That partition, []FormedEntry, is the one form
+// the table has here: it is what Algorithm stores, what StateMessage
+// sends, what Snapshot writes and what Restore reads (and checks: the
+// groups of a snapshot must be non-empty, disjoint and cover the
+// initial membership). ACCEPT and formation are one operation on it,
+// "move Who ∩ S.Members out of every older group into S's group", a few
+// word-parallel set operations per group at any process count, and
+// LEARN reads a peer's table the same way (one Disjoint per group). A
+// process takes part in at most one session per number, so within one
+// table the session number identifies the group.
 package ykd
 
 import (
@@ -114,22 +131,15 @@ type Algorithm struct {
 	self    proc.ID
 	initial view.Session // the thesis's W, session number 0
 
-	// Durable state (thesis §3.1). The lastFormed table is stored
-	// interned: lastFormed(q) == formedDict[formedIdx[q]], with
-	// formedDict[0] pinned to the zero Session so a zeroed index row
-	// reads as "no entry". The table holds only a handful of distinct
-	// sessions at any moment (every entry starts at the initial session
-	// and is only ever replaced by a newer formed primary), so storing
-	// 4-byte indices instead of Session values keeps the per-instance
-	// footprint — and the New/Reset construction cost — proportional to
-	// the process count rather than count × session size, which matters
-	// once Session carries a multi-word member set.
+	// Durable state (thesis §3.1). formed is the lastFormed table in the
+	// form StateMessage.Formed and Snapshot carry it: a partition of the
+	// initial membership, lastFormed(q) being the Session of the one
+	// entry whose Who holds q. Every entry starts in the initial
+	// session's group and only ever moves to a newer formed primary's,
+	// so a handful of groups exist at any moment. Their order records
+	// the history that produced them and carries no meaning.
 	lastPrimary   view.Session
-	formedIdx     []int32         // indexed by proc.ID
-	formedDict    []view.Session  // distinct lastFormed values; [0] is zero
-	formedStore   [8]view.Session // formedDict's initial backing; no alloc until 9 distinct
-	formedSpare   []view.Session  // compaction double buffer
-	formedRemap   []int32         // compaction scratch
+	formed        []FormedEntry
 	ambiguous     []view.Session
 	sessionNumber int64
 	inPrimary     bool
@@ -142,10 +152,11 @@ type Algorithm struct {
 	statesGot int
 	// member[q] mirrors cur.Members, and stateWanted[q] starts as a
 	// copy of it, cleared as q's state arrives. Both are rebuilt once
-	// per view change so the per-delivery guards — the hottest loads in
-	// a kilo-process run — are single byte probes instead of multi-word
-	// bitset lookups: stateWanted folds "is a member" and "not yet
-	// reported" into one array read.
+	// per view change so the per-delivery guards are single byte probes
+	// instead of bitset lookups: stateWanted folds "is a member" and
+	// "not yet reported" into one array read. Removing them loses nine
+	// of ten pairs on fig_sweep_64, by less than the lap spread, and
+	// nothing on kilo_1024 (DESIGN.md "Ablations").
 	member         []bool
 	stateWanted    []bool
 	attemptSession view.Session
@@ -168,15 +179,15 @@ type Algorithm struct {
 	// sessions during DECIDE. A handful of sessions at most survive the
 	// COMPUTE filters, so a linear Equal scan over a reused slice beats
 	// hashing SessionKeys into a map on every view change.
-	scratch      []view.Session
-	groupScratch []formedGroup // snapshotState grouping, reused
+	scratch []view.Session
 
 	// appliedFormed remembers the last few formed-session reports
 	// fully applied by acceptFormed. During a state exchange every
 	// member re-reports the same handful of sessions, and lastFormed
 	// entries only ever rise, so re-applying a cached session is a
-	// provable no-op — the cache turns the n-member ACCEPT scan into
-	// a few word compares for the common repeat.
+	// provable no-op — the cache turns the per-group ACCEPT scan into
+	// a few word compares for the common repeat. Removing it loses ten
+	// of ten pairs on all three sim workloads (DESIGN.md "Ablations").
 	appliedFormed [4]view.Session
 	appliedNext   int
 }
@@ -184,15 +195,6 @@ type Algorithm struct {
 type early struct {
 	from proc.ID
 	s    view.Session
-}
-
-// formedGroup is snapshotState's intermediate grouping of the
-// lastFormed table; the backing slice is reused across broadcasts, and
-// who is a Bits accumulator (its word storage survives reuse) so the
-// one-Add-per-process grouping loop never pays Set's copy-on-write.
-type formedGroup struct {
-	s   view.Session
-	who proc.Bits
 }
 
 var (
@@ -206,28 +208,8 @@ var (
 // must contain all participating processes; it is the thesis's W, the
 // primary everyone starts in, carrying session number zero.
 func New(variant Variant, self proc.ID, initial view.View) *Algorithm {
-	w := view.NewSession(0, initial)
-	maxID := int(initial.Members.Max())
-	if maxID < 0 {
-		maxID = 0
-	}
-	a := &Algorithm{
-		variant:     variant,
-		self:        self,
-		initial:     w,
-		lastPrimary: w,
-		formedIdx:   make([]int32, maxID+1),
-		inPrimary:   true,
-		cur:         initial,
-		curSize:     initial.Size(),
-		phase:       phaseIdle,
-		states:      make([]*StateMessage, maxID+1),
-	}
-	a.formedDict = a.formedStore[:1]
-	wi := a.internFormed(w)
-	initial.Members.ForEach(func(id proc.ID) { a.formedIdx[id] = wi })
-	a.sizeMemberTables(maxID + 1)
-	a.markMembers(initial)
+	a := &Algorithm{variant: variant}
+	a.Reset(self, initial)
 	return a
 }
 
@@ -256,44 +238,6 @@ func (a *Algorithm) markMembers(v view.View) {
 			a.stateWanted[q] = true
 		}
 	})
-}
-
-// internFormed returns s's index in the lastFormed dictionary,
-// appending it if absent. The dictionary stays small (resolveAndDecide
-// compacts it), so a linear Equal scan beats hashing.
-func (a *Algorithm) internFormed(s view.Session) int32 {
-	for i := range a.formedDict {
-		if a.formedDict[i].Equal(s) {
-			return int32(i)
-		}
-	}
-	a.formedDict = append(a.formedDict, s)
-	return int32(len(a.formedDict) - 1)
-}
-
-// compactFormedDict rewrites the dictionary to just the entries some
-// index row still references, so superseded sessions don't accumulate
-// across a long run. Both the replacement dictionary and the remap
-// table are double-buffered; steady state allocates nothing.
-func (a *Algorithm) compactFormedDict() {
-	old := a.formedDict
-	remap := a.formedRemap[:0]
-	for range old {
-		remap = append(remap, -1)
-	}
-	remap[0] = 0
-	newDict := append(a.formedSpare[:0], view.Session{})
-	for i, j := range a.formedIdx {
-		if remap[j] < 0 {
-			remap[j] = int32(len(newDict))
-			newDict = append(newDict, old[j])
-		}
-		a.formedIdx[i] = remap[j]
-	}
-	a.formedRemap = remap
-	clear(old[:cap(old)])
-	a.formedSpare = old[:0]
-	a.formedDict = newDict
 }
 
 // Factory returns the host-facing description of the given variant.
@@ -325,58 +269,52 @@ func (a *Algorithm) AmbiguousSessionCount() int { return len(a.ambiguous) }
 // or accepted.
 func (a *Algorithm) LastPrimary() view.Session { return a.lastPrimary }
 
-// Reset implements core.Resetter: it restores the instance to the
-// state New(variant, self, initial) would produce, reusing every piece
-// of retained storage — the lastFormed and states tables, the
-// ambiguous and send-queue slices, the DECIDE scratch map. The variant
-// is preserved. Stale message pointers are cleared from the recycled
+// Reset implements core.Resetter and is the one initialisation path:
+// New is a zero value plus Reset. It puts the instance in the state of
+// a process that starts in the initial view — the thesis's W, session
+// number zero, a primary — reusing whatever storage a previous life
+// left behind: the lastFormed groups, the states and member tables, the
+// ambiguous and send-queue slices, the DECIDE scratch. The variant is
+// preserved. Stale message pointers are cleared from the recycled
 // buffers so a reset instance pins nothing from its previous life.
 func (a *Algorithm) Reset(self proc.ID, initial view.View) {
 	w := view.NewSession(0, initial)
-	maxID := int(initial.Members.Max())
-	if maxID < 0 {
-		maxID = 0
-	}
+	n := max(int(initial.Members.Max()), 0) + 1
 	a.self = self
 	a.initial = w
 	a.lastPrimary = w
-	if cap(a.formedIdx) < maxID+1 {
-		a.formedIdx = make([]int32, maxID+1)
-	} else {
-		a.formedIdx = a.formedIdx[:maxID+1]
-		clear(a.formedIdx)
-	}
-	clear(a.formedDict[:cap(a.formedDict)])
-	a.formedDict = a.formedDict[:1]
-	wi := a.internFormed(w)
-	initial.Members.ForEach(func(id proc.ID) { a.formedIdx[id] = wi })
+	clear(a.formed)
+	a.formed = append(a.formed[:0], FormedEntry{Session: w, Who: initial.Members})
 	a.ambiguous = a.ambiguous[:0]
 	a.sessionNumber = 0
 	a.inPrimary = true
 
 	a.cur = initial
 	a.curSize = initial.Size()
-	a.phase = phaseIdle
-	if cap(a.states) < maxID+1 {
-		a.states = make([]*StateMessage, maxID+1)
-	} else {
-		a.states = a.states[:maxID+1]
-		clear(a.states)
+	if cap(a.states) < n {
+		a.states = make([]*StateMessage, n)
 	}
-	a.statesGot = 0
-	a.attemptSession = view.Session{}
-	a.attempts.Reset(maxID + 1)
-	if a.variant == VariantDFLS {
-		a.flushes.Reset(maxID + 1)
-	}
-	a.sizeMemberTables(maxID + 1)
+	a.states = a.states[:n]
+	a.sizeMemberTables(n)
 	a.markMembers(initial)
-	a.earlyAttempts = a.earlyAttempts[:0]
-	a.earlyFlushes = a.earlyFlushes[:0]
+	a.abandonExchange()
 	a.out = clearMessages(a.out)
 	a.outSpare = clearMessages(a.outSpare)
 	a.scratch = a.scratch[:0]
-	a.groupScratch = a.groupScratch[:0]
+}
+
+// abandonExchange drops the per-view protocol state: the states
+// collected so far, any attempt in progress and the early-message
+// buffers, leaving the instance idle. The appliedFormed memo goes with
+// it: it is only sound against the table it was filled from, and both
+// callers (Reset, Restore) have just replaced that table.
+func (a *Algorithm) abandonExchange() {
+	a.phase = phaseIdle
+	clear(a.states)
+	a.statesGot = 0
+	a.attemptSession = view.Session{}
+	a.earlyAttempts = a.earlyAttempts[:0]
+	a.earlyFlushes = a.earlyFlushes[:0]
 	a.appliedFormed = [4]view.Session{}
 	a.appliedNext = 0
 }
@@ -397,11 +335,9 @@ func (a *Algorithm) ViewChange(v view.View) {
 	a.curSize = v.Size()
 	a.inPrimary = false
 	a.phase = phaseExchange
-	for i := range a.states {
-		a.states[i] = nil
-	}
+	clear(a.states)
 	a.statesGot = 0
-	a.attempts.Reset(len(a.formedIdx))
+	a.attempts.Reset(len(a.member))
 	// flushes is reset lazily by checkFormed when DFLS actually enters
 	// its flush round; other variants never touch it, so resetting it
 	// here would cost every non-DFLS instance its backing words.
@@ -462,46 +398,16 @@ func (a *Algorithm) Poll() []core.Message {
 }
 
 // snapshotState captures this process's durable state for broadcast.
+// The message gets its own copy of the group list (the table moves
+// members between groups in place); the Who sets are immutable and
+// shared.
 func (a *Algorithm) snapshotState(viewID int64) *StateMessage {
-	// Group the lastFormed table by session: a process's formed
-	// sessions carry distinct numbers, so the number keys the group.
-	// Reused slots keep their who storage across broadcasts (reslice,
-	// not append of a fresh struct), so the grouping loop allocates
-	// only when the table holds more distinct sessions than ever
-	// before.
-	width := len(a.formedIdx)
-	groups := a.groupScratch[:0]
-	a.initial.Members.ForEach(func(q proc.ID) {
-		s := &a.formedDict[a.formedIdx[q]]
-		for i := range groups {
-			if groups[i].s.Number == s.Number {
-				groups[i].who.Add(q)
-				return
-			}
-		}
-		if len(groups) < cap(groups) {
-			groups = groups[:len(groups)+1]
-		} else {
-			groups = append(groups, formedGroup{})
-		}
-		g := &groups[len(groups)-1]
-		g.s = *s
-		g.who.Reset(width)
-		g.who.Add(q)
-	})
-	a.groupScratch = groups
-	formed := make([]FormedEntry, len(groups))
-	for i := range groups {
-		formed[i] = FormedEntry{Session: groups[i].s, Who: groups[i].who.Freeze()}
-	}
-	amb := make([]view.Session, len(a.ambiguous))
-	copy(amb, a.ambiguous)
 	return &StateMessage{
 		ViewID:        viewID,
 		SessionNumber: a.sessionNumber,
 		LastPrimary:   a.lastPrimary,
-		Formed:        formed,
-		Ambiguous:     amb,
+		Formed:        append([]FormedEntry(nil), a.formed...),
+		Ambiguous:     append([]view.Session(nil), a.ambiguous...),
 	}
 }
 
@@ -525,9 +431,6 @@ func (a *Algorithm) acceptState(from proc.ID, st *StateMessage) {
 // and — on a positive decision — the attempt broadcast.
 func (a *Algorithm) resolveAndDecide() {
 	v := a.cur
-	if len(a.formedDict) >= 16 {
-		a.compactFormedDict()
-	}
 
 	// COMPUTE maxSession and maxPrimary while applying ACCEPT.
 	maxSession := a.sessionNumber
@@ -612,7 +515,7 @@ func (a *Algorithm) resolveAndDecide() {
 	s := view.NewSession(a.sessionNumber, v)
 	a.ambiguous = append(a.ambiguous, s)
 	a.attemptSession = s
-	a.attempts.Reset(len(a.formedIdx))
+	a.attempts.Reset(len(a.member))
 	a.attempts.Add(a.self)
 	a.phase = phaseAttempt
 	a.out = append(a.out, &AttemptMessage{ViewID: v.ID, Session: s})
@@ -681,17 +584,45 @@ func (a *Algorithm) acceptFormed(s *view.Session) {
 	if s.Number > a.lastPrimary.Number {
 		a.lastPrimary = *s
 	}
-	idx := int32(-1) // interned lazily: only if some entry actually rises
-	s.Members.ForEach(func(q proc.ID) {
-		if int(q) < len(a.formedIdx) && s.Number > a.formedDict[a.formedIdx[q]].Number {
-			if idx < 0 {
-				idx = a.internFormed(*s)
-			}
-			a.formedIdx[q] = idx
-		}
-	})
+	a.raiseFormed(s)
 	a.appliedFormed[a.appliedNext] = *s
 	a.appliedNext = (a.appliedNext + 1) % len(a.appliedFormed)
+}
+
+// raiseFormed sets lastFormed(q) = s for every q in s.Members whose
+// entry is older than s, by moving Who ∩ s.Members out of every older
+// group into s's group: one word-parallel pass per group. ACCEPT and
+// formation are both this one move (an attempt's number exceeds every
+// session the process has taken part in, so on formation every group
+// is older). Processes outside the initial membership are in no group
+// and never enter the table. Past proc.InlineProcs each Set operation
+// here allocates, so a group is only rewritten when it intersects.
+func (a *Algorithm) raiseFormed(s *view.Session) {
+	var moved proc.Set
+	into, n := -1, 0
+	for _, g := range a.formed {
+		if g.Session.Number == s.Number {
+			into = n
+		} else if g.Session.Number < s.Number && !g.Who.Disjoint(s.Members) {
+			moved = moved.Union(g.Who.Intersect(s.Members))
+			g.Who = g.Who.Diff(s.Members)
+			if g.Who.Empty() {
+				continue
+			}
+		}
+		a.formed[n] = g
+		n++
+	}
+	clear(a.formed[n:])
+	a.formed = a.formed[:n]
+	if moved.Empty() {
+		return
+	}
+	if into >= 0 {
+		a.formed[into].Who = a.formed[into].Who.Union(moved)
+	} else {
+		a.formed = append(a.formed, FormedEntry{Session: *s, Who: moved})
+	}
 }
 
 func (a *Algorithm) recordAttempt(from proc.ID, s view.Session) {
@@ -721,18 +652,13 @@ func (a *Algorithm) checkFormed() {
 	s := a.attemptSession
 	a.lastPrimary = s
 	a.inPrimary = true
-	idx := a.internFormed(s)
-	a.cur.Members.ForEach(func(q proc.ID) {
-		if int(q) < len(a.formedIdx) {
-			a.formedIdx[q] = idx
-		}
-	})
+	a.raiseFormed(&s)
 
 	if a.variant == VariantDFLS {
 		// DFLS defers deletion to a third, flush round in the newly
 		// formed primary.
 		a.phase = phaseFlush
-		a.flushes.Reset(len(a.formedIdx))
+		a.flushes.Reset(len(a.member))
 		a.flushes.Add(a.self)
 		a.out = append(a.out, &FlushMessage{ViewID: a.cur.ID, Session: s})
 		pending := a.earlyFlushes
