@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test test-race bench bench-json bench-compare alloc-guard race-reset set-model soak-short soak-large soak-bench loadgen-smoke loadgen-c1k farm-smoke
+.PHONY: check fmt vet build test test-race bench bench-json bench-compare alloc-guard race-reset set-model soak-short soak-large soak-bench failover-bench loadgen-smoke loadgen-c1k farm-smoke
 
 # Sequence number for committed benchmark reports (BENCH_<n>.json).
 BENCH_N ?= 10
@@ -98,6 +98,15 @@ soak-short:
 # numbers the internal/trace package doc, DESIGN.md and README quote.
 soak-bench:
 	$(GO) run ./benchmark -workload soak_farm_64 -trace 1
+
+# failover-bench measures rejoin after a healed partition on a live
+# 3-replica TCP cluster and then splits it along the timeline:
+# wait_p50_us (= loadgen.rejoin_p50_ms), gcs.heal_to_proposal_ms,
+# gcs.proposal_to_install_ms, alg.install_to_primary_ms and
+# gcs.detect_ms in the output are the numbers DESIGN.md "Live-path
+# observability" quotes.
+failover-bench:
+	$(GO) run ./benchmark -workload live_failover -trace 1
 
 # loadgen-smoke boots a 3-node replicated store over real TCP sockets,
 # drives it with concurrent clients, injects a partition mid-run and

@@ -384,6 +384,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			f.PrimaryLostMs = float64(lost) / float64(time.Millisecond)
 			f.RecoveryMs = float64(regained) / float64(time.Millisecond)
 		}
+		if _, minority := cl.split(); len(minority) > 0 {
+			if rejoin, ok := tl.Rejoin(minority[0], healedAt); ok {
+				f.RejoinMs = float64(rejoin) / float64(time.Millisecond)
+			}
+		}
 		if s := strings.TrimRight(tl.String(), "\n"); s != "" {
 			f.Timeline = strings.Split(s, "\n")
 		}
@@ -409,8 +414,12 @@ func printSummary(w io.Writer, rep *loadgen.Report) {
 		l.MinMs, l.P50Ms, l.P95Ms, l.P99Ms, l.MaxMs)
 	if f := rep.Failover; f != nil {
 		if f.RecoveryMs > 0 {
-			fmt.Fprintf(w, "loadgen: failover injected@%.2fs healed@%.2fs → primary lost after %.2fms, recovered after %.2fms (%d views proposed, %d installed)\n",
-				f.InjectedAtSec, f.HealedAtSec, f.PrimaryLostMs, f.RecoveryMs, f.ViewsProposed, f.ViewsInstalled)
+			rejoin := "cut-off replica never rejoined"
+			if f.RejoinMs > 0 {
+				rejoin = fmt.Sprintf("cut-off replica rejoined %.2fms after the heal", f.RejoinMs)
+			}
+			fmt.Fprintf(w, "loadgen: failover injected@%.2fs healed@%.2fs → primary lost after %.2fms, recovered after %.2fms, %s (%d views proposed, %d installed)\n",
+				f.InjectedAtSec, f.HealedAtSec, f.PrimaryLostMs, f.RecoveryMs, rejoin, f.ViewsProposed, f.ViewsInstalled)
 		} else {
 			fmt.Fprintf(w, "loadgen: failover injected@%.2fs but no recovery measured (%d views proposed, %d installed)\n",
 				f.InjectedAtSec, f.ViewsProposed, f.ViewsInstalled)

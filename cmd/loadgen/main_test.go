@@ -47,6 +47,9 @@ func TestSmokeRunWithPartition(t *testing.T) {
 	if rep.Failover.PrimaryLostMs > rep.Failover.RecoveryMs {
 		t.Errorf("lost after recovery? %+v", rep.Failover)
 	}
+	if rep.Failover.RejoinMs <= 0 || !strings.Contains(errs.String(), "cut-off replica rejoined") {
+		t.Errorf("cut-off replica's rejoin not reported: %+v\n%s", rep.Failover, errs.String())
+	}
 	if len(rep.Peers) == 0 {
 		t.Error("no per-peer wire stats in report")
 	}

@@ -185,6 +185,7 @@ func run(httpAddr string, linger time.Duration) error {
 	for i := 0; i < n; i++ {
 		transports[i].Block()
 	}
+	healedAt := time.Now()
 	if err := waitFor("merge", func() bool {
 		for _, nd := range nodes {
 			if !nd.InPrimary() {
@@ -196,6 +197,9 @@ func run(httpAddr string, linger time.Duration) error {
 		return err
 	}
 	report("merged back; everyone primary again:")
+	if rejoin, ok := tl.Rejoin(3, healedAt); ok {
+		fmt.Printf("  n3 rejoined the primary %.1fms after the heal\n", float64(rejoin)/float64(time.Millisecond))
+	}
 
 	var msgs, bytes int64
 	for _, w := range wrapped {

@@ -170,6 +170,9 @@ func TestTimelineNilSafe(t *testing.T) {
 	if _, _, ok := tl.Recovery(time.Now()); ok {
 		t.Error("nil timeline measured a recovery")
 	}
+	if _, ok := tl.Rejoin(0, time.Now()); ok {
+		t.Error("nil timeline measured a rejoin")
+	}
 	hook := tl.Hook(3)
 	hook(gcs.Event{Kind: gcs.EventView}) // must not panic
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynvote/internal/metrics"
@@ -46,6 +47,18 @@ type TCPConfig struct {
 // heartbeat bookkeeping is batched to one mutex acquisition per drain.
 // A Block list simulates network partitions for demos and tests
 // without touching the operating system.
+//
+// The failure detector belongs to heartbeatLoop: it alone computes the
+// reachable set and publishes it. Loss is a timeout (no frame for
+// FailAfter) and is only ever noticed on the HeartbeatEvery tick.
+// Recovery is evidence: a reader that stamps a frame from an unblocked
+// peer outside the reachable set kicks the loop into an immediate
+// beat, whose heartbeat is the echo that lets the peer do the same, so
+// two processes that can talk again agree on it in one round trip
+// after the first frame crosses. Nothing else kicks — not Send, not a
+// frame from a peer already reachable, and deliberately not Block: a
+// real network does not announce a heal, so after one the first frame
+// still waits for some sender's tick (HeartbeatEvery/2 on average).
 type TCPTransport struct {
 	cfg      TCPConfig
 	listener net.Listener
@@ -72,6 +85,9 @@ type TCPTransport struct {
 	// GC pressure, unlike sync.Pool.
 	bufPool chan []byte
 
+	// kick wakes heartbeatLoop between ticks; readers send on it
+	// without blocking, so pending kicks coalesce into one beat.
+	kick     chan struct{}
 	stop     chan struct{}
 	done     chan struct{} // heartbeat loop exit
 	writerWG sync.WaitGroup
@@ -133,6 +149,7 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 		lastHB:   make(map[proc.ID]time.Time),
 		reach:    proc.NewSet(cfg.ID),
 		bufPool:  make(chan []byte, 1024),
+		kick:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -245,7 +262,12 @@ func (t *TCPTransport) Close() error {
 }
 
 // Block drops all traffic to and from the given peers, simulating a
-// partition. Passing no peers clears the block list (heals).
+// partition. Passing no peers clears the block list (heals). A blocked
+// peer leaves the reachable set at the next beat without waiting out
+// FailAfter, so under Block the time to detect a partition is the
+// phase of the tick, not a detection time. Block itself triggers no
+// beat in either direction: a healed peer re-enters the reachable set
+// when its first frame arrives, which takes some sender's tick.
 func (t *TCPTransport) Block(peers ...proc.ID) {
 	t.mu.Lock()
 	t.blocked = proc.NewSet(peers...)
@@ -261,6 +283,10 @@ type peerConn struct {
 	id proc.ID
 	// queue carries pooled frame bodies; nil means heartbeat.
 	queue chan []byte
+	// heard is set by a reader that got a frame from this peer while
+	// it was outside the reachable set: the peer is up now, whatever
+	// the last dial said, so the writer forgets its redial back-off.
+	heard atomic.Bool
 
 	connMu sync.Mutex
 	c      net.Conn // live connection, nil while down; Close() forces it shut
@@ -353,6 +379,9 @@ func (pc *peerConn) writeLoop() {
 			}
 		}
 		if conn == nil {
+			if pc.heard.Swap(false) {
+				backoff, nextDial = 0, time.Time{}
+			}
 			if time.Now().Before(nextDial) {
 				t.m.deadDrops.Add(frames)
 				continue
@@ -468,7 +497,10 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 	// flush applies one drain cycle's batched effects: wire counters
 	// and heartbeat freshness, one mutex acquisition for the lot. The
 	// block list is re-checked under the lock so a peer blocked
-	// mid-drain cannot resurrect its heartbeat.
+	// mid-drain cannot resurrect its heartbeat. A sender heard from
+	// outside the reachable set is news the failure detector should
+	// not sit on until its next tick: kick it, and let that peer's
+	// writer redial at once.
 	flush := func() {
 		if bytesIn != 0 {
 			t.m.bytesIn.Add(bytesIn)
@@ -478,21 +510,43 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		if len(hbs) == 0 {
 			return
 		}
+		recovered := false
 		t.mu.Lock()
 		for _, hb := range hbs {
-			if !t.blocked.Contains(hb.from) {
-				t.lastHB[hb.from] = hb.at
+			if t.blocked.Contains(hb.from) {
+				continue
+			}
+			t.lastHB[hb.from] = hb.at
+			if !t.reach.Contains(hb.from) {
+				recovered = true
+				if pc := t.conns[hb.from]; pc != nil {
+					pc.heard.Store(true)
+				}
 			}
 		}
 		t.mu.Unlock()
 		hbs = hbs[:0]
+		if recovered {
+			select {
+			case t.kick <- struct{}{}:
+			default:
+			}
+		}
 	}
 	defer flush()
 
-	blocked := t.blockedSnapshot()
+	var blocked proc.Set
+	newDrain := true
 	for {
 		if _, err := io.ReadFull(br, header[:]); err != nil {
 			return
+		}
+		// The block list is read once per drain, and only now that the
+		// drain's first header is here: a snapshot taken before
+		// parking on a quiet link would deliver the first frames after
+		// Block from the list as it was when the link went quiet.
+		if newDrain {
+			blocked, newDrain = t.blockedSnapshot(), false
 		}
 		size := binary.BigEndian.Uint32(header[:])
 		from := proc.ID(binary.BigEndian.Uint32(header[4:]))
@@ -542,11 +596,10 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 				}
 			}
 		}
-		// About to block on the next header: apply the batch and
-		// refresh the block-list snapshot for the next drain.
+		// About to block on the next header: apply the batch.
 		if br.Buffered() < tcpHeader {
 			flush()
-			blocked = t.blockedSnapshot()
+			newDrain = true
 		}
 	}
 }
@@ -557,10 +610,12 @@ func (t *TCPTransport) blockedSnapshot() proc.Set {
 	return t.blocked
 }
 
-// heartbeatLoop enqueues one heartbeat per peer per tick. Enqueueing
-// is non-blocking, and dialing dead peers happens on their writer
-// goroutines — one unreachable peer can no longer eat the heartbeat
-// budget of the healthy ones.
+// heartbeatLoop is the failure detector: one beat per tick, and one
+// per kick from a reader that heard a peer outside the reachable set.
+// A kicked beat is the same beat — its heartbeat is the echo the
+// recovered peer needs to learn the link works both ways, and the
+// exchange ends by itself because after the refresh that peer is
+// inside the reachable set and its frames kick nothing.
 func (t *TCPTransport) heartbeatLoop() {
 	defer close(t.done)
 	ticker := time.NewTicker(t.cfg.HeartbeatEvery)
@@ -570,27 +625,36 @@ func (t *TCPTransport) heartbeatLoop() {
 		case <-t.stop:
 			return
 		case <-ticker.C:
-			t.mu.Lock()
-			if !t.closed {
-				for id := range t.peers {
-					if t.blocked.Contains(id) {
-						continue
-					}
-					pc := t.peerConnLocked(id)
-					if pc == nil {
-						continue
-					}
-					select {
-					case pc.queue <- nil:
-					default:
-						t.m.sendqDrops.Inc()
-					}
-				}
+		case <-t.kick:
+		}
+		t.beat()
+	}
+}
+
+// beat enqueues one heartbeat per unblocked peer, then recomputes
+// reachability. Enqueueing is non-blocking, and dialing dead peers
+// happens on their writer goroutines — one unreachable peer can no
+// longer eat the heartbeat budget of the healthy ones.
+func (t *TCPTransport) beat() {
+	t.mu.Lock()
+	if !t.closed {
+		for id := range t.peers {
+			if t.blocked.Contains(id) {
+				continue
 			}
-			t.mu.Unlock()
-			t.refreshReachability()
+			pc := t.peerConnLocked(id)
+			if pc == nil {
+				continue
+			}
+			select {
+			case pc.queue <- nil:
+			default:
+				t.m.sendqDrops.Inc()
+			}
 		}
 	}
+	t.mu.Unlock()
+	t.refreshReachability()
 }
 
 // refreshReachability recomputes the reachable set from heartbeat
@@ -629,7 +693,7 @@ func (t *TCPTransport) refreshReachability() {
 }
 
 // Reach returns the current reachable set as the failure detector
-// computed it at the last heartbeat tick — a diagnostic snapshot.
+// computed it at its last beat — a diagnostic snapshot.
 func (t *TCPTransport) Reach() proc.Set {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -129,6 +129,27 @@ func (tl *Timeline) Recovery(injectedAt time.Time) (lost, regained time.Duration
 	return 0, 0, false
 }
 
+// Rejoin measures how long one node stayed outside the primary
+// component after a heal: from healedAt to that node's first primary
+// regain at or after it. Recovery is satisfied by whichever node is
+// primary again first, which after a partition is the majority side
+// re-forming around the fault; the replica that was cut off waits for
+// recovery detection, a membership round and the voting algorithm, and
+// this is the number for it. ok is false until the node has regained.
+func (tl *Timeline) Rejoin(node proc.ID, healedAt time.Time) (rejoin time.Duration, ok bool) {
+	if tl == nil {
+		return 0, false
+	}
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	for _, e := range tl.events {
+		if e.Kind == EventPrimary && e.Primary && e.Node == node && !e.At.Before(healedAt) {
+			return e.At.Sub(healedAt), true
+		}
+	}
+	return 0, false
+}
+
 // CountKind returns how many events of the given kind were recorded.
 func (tl *Timeline) CountKind(kind EventKind) int {
 	if tl == nil {

@@ -19,6 +19,11 @@ type FailoverReport struct {
 	// RecoveryMs is injection → first primary-regain after the loss:
 	// the live analogue of the thesis's availability gap.
 	RecoveryMs float64 `json:"recovery_ms"`
+	// RejoinMs is heal → the first cut-off replica's primary regain.
+	// RecoveryMs is set by the majority side re-forming around the
+	// fault; this is how long the minority side stayed unavailable
+	// once the network was whole again (0 if it never rejoined).
+	RejoinMs float64 `json:"rejoin_ms"`
 	// ViewsProposed and ViewsInstalled count reconfiguration traffic
 	// over the whole run.
 	ViewsProposed  int `json:"views_proposed"`
