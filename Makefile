@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test test-race bench bench-json bench-compare alloc-guard race-reset set-model soak-short soak-large soak-bench failover-bench loadgen-smoke loadgen-c1k farm-smoke
+.PHONY: check fmt vet build test test-race bench bench-json bench-compare alloc-guard race-reset set-model soak-short soak-large soak-bench failover-bench fd-pause loadgen-smoke loadgen-c1k farm-smoke
 
 # Sequence number for committed benchmark reports (BENCH_<n>.json).
 BENCH_N ?= 10
@@ -15,8 +15,10 @@ BENCH_N ?= 10
 # cluster under client load with an injected partition, and the same
 # cluster serving a thousand concurrent pipelined connections, and the
 # distributed sweep farm: a coordinator plus three local worker
-# processes merging a campaign over localhost TCP.
-check: fmt vet build test alloc-guard set-model race-reset soak-short soak-large loadgen-smoke loadgen-c1k farm-smoke
+# processes merging a campaign over localhost TCP; and the failure
+# detector's pause gate: the live cluster stopped and resumed under
+# load must not fail a write.
+check: fmt vet build test alloc-guard set-model race-reset soak-short soak-large loadgen-smoke loadgen-c1k farm-smoke fd-pause
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -107,6 +109,28 @@ soak-bench:
 # observability" quotes.
 failover-bench:
 	$(GO) run ./benchmark -workload live_failover -trace 1
+
+# fd-pause stops the whole live_write_burst process for 0.3 s (twice
+# FailAfter) two times inside its measurement window, which opens some
+# 2.6 s after the start, and fails unless the result line reports
+# "failed":0. A failure detector that charges its peers for the time
+# it was itself stopped drops every peer on resume, and the writes in
+# flight across those views are refused. The pid is the shell's $$!:
+# pgrep -f would match the shell running this recipe too.
+FD_PAUSE_BIN := $(or $(TMPDIR),/tmp)/benchmark-fd-pause
+fd-pause:
+	$(GO) build -o $(FD_PAUSE_BIN) ./benchmark
+	@out=$$(mktemp); \
+	$(FD_PAUSE_BIN) -workload live_write_burst >$$out & pid=$$!; \
+	for at in 5 3; do \
+		sleep $$at; kill -STOP $$pid; sleep 0.3; kill -CONT $$pid; \
+	done; \
+	wait $$pid; status=$$?; \
+	tail -n 1 $$out; \
+	if [ $$status -ne 0 ] || ! tail -n 1 $$out | grep -q '"failed":0,'; then \
+		echo "fd-pause: writes failed across a local pause"; rm -f $$out $(FD_PAUSE_BIN); exit 1; \
+	fi; \
+	rm -f $$out $(FD_PAUSE_BIN)
 
 # loadgen-smoke boots a 3-node replicated store over real TCP sockets,
 # drives it with concurrent clients, injects a partition mid-run and

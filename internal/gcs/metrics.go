@@ -38,7 +38,9 @@ func newNodeMetrics(reg *metrics.Registry) nodeMetrics {
 // is receive-side overflow of the frames channel, sendqDrops is
 // overflow of a peer's bounded send queue, deadDrops is frames
 // discarded because their peer was unreachable (dialing or backing
-// off).
+// off) — among them the probes the failure detector keeps sending a
+// suspected peer, so against a crashed peer it grows at up to the probe
+// rate without anything being wrong on this side.
 type tcpMetrics struct {
 	bytesIn    *metrics.Counter
 	bytesOut   *metrics.Counter
@@ -55,10 +57,10 @@ func newTCPMetrics(reg *metrics.Registry) tcpMetrics {
 		bytesIn:    reg.Counter("gcs_tcp_bytes_in_total", "bytes read from peers (headers included)"),
 		bytesOut:   reg.Counter("gcs_tcp_bytes_out_total", "bytes written to peers (headers included)"),
 		framesIn:   reg.Counter("gcs_tcp_frames_in_total", "frames read from peers (heartbeats included)"),
-		framesOut:  reg.Counter("gcs_tcp_frames_out_total", "frames written to peers (heartbeats included)"),
+		framesOut:  reg.Counter("gcs_tcp_frames_out_total", "frames written to peers (heartbeats and probes included)"),
 		redials:    reg.Counter("gcs_tcp_dials_total", "outgoing connections established"),
 		inboxDrops: reg.Counter("gcs_tcp_inbox_drops_total", "inbound frames dropped on frames-channel overflow"),
 		sendqDrops: reg.Counter("gcs_tcp_sendq_drops_total", "outbound frames dropped on send-queue overflow"),
-		deadDrops:  reg.Counter("gcs_tcp_unreachable_drops_total", "outbound frames dropped because the peer was unreachable"),
+		deadDrops:  reg.Counter("gcs_tcp_unreachable_drops_total", "outbound frames dropped because the peer was unreachable (a failed dial or its redial back-off; heartbeats and failure-detector probes included)"),
 	}
 }

@@ -217,14 +217,24 @@ func (n *Node) loop() {
 
 // onReachability runs the membership step: the smallest reachable
 // process leads; a leader announces a fresh view to its component.
+// A follower waits for that announcement, and helps it happen when the
+// leader is not in the follower's view: the leader may have seen no
+// change it could act on (it was convicted here while it was paused,
+// or by a detector more nervous than its own, and its own reachable
+// set never moved), so the follower tells it which view it is in, the
+// same message that answers a stale announcement.
 func (n *Node) onReachability(reach proc.Set) {
 	n.m.reconfigs.Inc()
 	if !reach.Contains(n.cfg.ID) {
 		reach = reach.With(n.cfg.ID)
 	}
 	n.lastReach = reach
-	if reach.Smallest() != n.cfg.ID {
-		return // a smaller process will lead and announce the view
+	if lead := reach.Smallest(); lead != n.cfg.ID {
+		// A smaller process will lead and announce the view.
+		if cur := n.CurrentView(); !cur.Members.Contains(lead) {
+			n.sendViewNack(lead, cur.ID)
+		}
+		return
 	}
 	v := view.View{ID: n.nextViewID(), Members: reach}
 	n.emit(Event{Kind: EventViewProposed, View: v})
@@ -274,10 +284,7 @@ func (n *Node) onFrame(f Frame) {
 			// process ID composes smaller view IDs than one we joined
 			// during a failure-detector race. Tell it how far we have
 			// seen so it can re-announce above us.
-			var w wire.Writer
-			w.Byte(frameViewNack)
-			w.Varint(n.CurrentView().ID)
-			_ = n.cfg.Transport.Send(f.From, w.Bytes())
+			n.sendViewNack(f.From, n.CurrentView().ID)
 			return
 		}
 		n.installView(v)
@@ -289,8 +296,11 @@ func (n *Node) onFrame(f Frame) {
 		if seen > n.maxSeenViewID {
 			n.maxSeenViewID = seen
 		}
-		// Re-announce with a higher epoch if we still lead.
-		if !n.lastReach.Empty() && n.CurrentView().ID <= seen {
+		// Re-announce with a higher epoch if we still lead the sender.
+		// One we cannot reach yet is answered by the announcement that
+		// follows the detector's next report; until then a new view
+		// would be the old membership once more.
+		if n.lastReach.Contains(f.From) && n.CurrentView().ID <= seen {
 			n.onReachability(n.lastReach)
 		}
 	case frameBundle:
@@ -316,6 +326,14 @@ func (n *Node) onFrame(f Frame) {
 			// Older view: view-synchronous drop.
 		}
 	}
+}
+
+// sendViewNack tells a leader the highest view this node has installed.
+func (n *Node) sendViewNack(to proc.ID, seen int64) {
+	var w wire.Writer
+	w.Byte(frameViewNack)
+	w.Varint(seen)
+	_ = n.cfg.Transport.Send(to, w.Bytes())
 }
 
 // deliverBundle hands a current-view bundle to the algorithm and the

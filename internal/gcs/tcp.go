@@ -57,8 +57,27 @@ type TCPConfig struct {
 // two processes that can talk again agree on it in one round trip
 // after the first frame crosses. Nothing else kicks — not Send, not a
 // frame from a peer already reachable, and deliberately not Block: a
-// real network does not announce a heal, so after one the first frame
-// still waits for some sender's tick (HeartbeatEvery/2 on average).
+// real network does not announce a heal. That first frame is a probe:
+// while a configured peer is outside its reachable set, a process
+// sends that peer (and no other) a heartbeat probesPerBeat times per
+// HeartbeatEvery, so a heal is found a fraction of a tick after it
+// happens, whatever the phase of anybody's tick. A probe publishes
+// nothing and convicts nobody, and with every peer reachable none is
+// sent: steady-state traffic is one heartbeat per peer per tick.
+//
+// Silence is measured on the detector's own clock. Each look notes
+// when it happened; when the next one comes later than HeartbeatEvery
+// after it — the process was stopped, starved of CPU, or stuck on its
+// own lock — the excess is time this process was absent, not evidence
+// about anyone else, and every peer's last-heard stamp is credited
+// with it. A process resumed after more than FailAfter therefore keeps
+// its reachable set if its peers kept sending. A peer that is really
+// dead is still convicted, FailAfter of the detector's observed
+// running time after its last frame; and the other processes, whose
+// clocks kept running, still convict the one that paused. Resumed, it
+// has nothing to publish; the peers that take it back do, and Node's
+// followers then tell a leader missing from their view where they are
+// (Node.onReachability), so a paused leader learns it has to lead.
 type TCPTransport struct {
 	cfg      TCPConfig
 	listener net.Listener
@@ -78,6 +97,7 @@ type TCPTransport struct {
 	blocked   proc.Set
 	reach     proc.Set
 	published bool
+	lastLook  time.Time // when refreshReachability last ran
 	closed    bool
 
 	// bufPool recycles Send's frame-body copies between the callers
@@ -87,7 +107,10 @@ type TCPTransport struct {
 
 	// kick wakes heartbeatLoop between ticks; readers send on it
 	// without blocking, so pending kicks coalesce into one beat.
-	kick     chan struct{}
+	kick chan struct{}
+	// peersSet wakes heartbeatLoop to look at the peer table again:
+	// SetPeers may have added peers to probe.
+	peersSet chan struct{}
 	stop     chan struct{}
 	done     chan struct{} // heartbeat loop exit
 	writerWG sync.WaitGroup
@@ -115,6 +138,12 @@ const (
 	redialMin      = 10 * time.Millisecond
 	redialMax      = 300 * time.Millisecond
 )
+
+// probesPerBeat is how many probes a suspected peer is sent per
+// HeartbeatEvery. A probe is one 8-byte frame and suspects are few, so
+// the price of finding a healed link within an eighth of a tick is
+// small; a dead peer's probes mostly die in its writer's back-off.
+const probesPerBeat = 8
 
 // NewTCPTransport starts listening on cfg.Addrs[cfg.ID] and begins
 // heartbeating all peers.
@@ -150,6 +179,7 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 		reach:    proc.NewSet(cfg.ID),
 		bufPool:  make(chan []byte, 1024),
 		kick:     make(chan struct{}, 1),
+		peersSet: make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -172,6 +202,10 @@ func (t *TCPTransport) SetPeers(addrs map[proc.ID]string) {
 		if id != t.cfg.ID {
 			t.peers[id] = a
 		}
+	}
+	select {
+	case t.peersSet <- struct{}{}:
+	default:
 	}
 }
 
@@ -266,8 +300,10 @@ func (t *TCPTransport) Close() error {
 // peer leaves the reachable set at the next beat without waiting out
 // FailAfter, so under Block the time to detect a partition is the
 // phase of the tick, not a detection time. Block itself triggers no
-// beat in either direction: a healed peer re-enters the reachable set
-// when its first frame arrives, which takes some sender's tick.
+// beat in either direction and nothing is sent to a blocked peer,
+// probes included: a healed peer re-enters the reachable set when the
+// next probe to it, at most HeartbeatEvery/probesPerBeat after the
+// heal, gets through and is echoed.
 func (t *TCPTransport) Block(peers ...proc.ID) {
 	t.mu.Lock()
 	t.blocked = proc.NewSet(peers...)
@@ -616,54 +652,118 @@ func (t *TCPTransport) blockedSnapshot() proc.Set {
 // recovered peer needs to learn the link works both ways, and the
 // exchange ends by itself because after the refresh that peer is
 // inside the reachable set and its frames kick nothing.
+//
+// While some configured peer is outside the reachable set a second,
+// faster ticker runs and each of its ticks sends those peers a probe.
+// With everyone reachable it is stopped, so the loop then wakes, and
+// sends, exactly as often as its HeartbeatEvery ticker says.
 func (t *TCPTransport) heartbeatLoop() {
 	defer close(t.done)
 	ticker := time.NewTicker(t.cfg.HeartbeatEvery)
 	defer ticker.Stop()
+	probeEvery := t.cfg.HeartbeatEvery / probesPerBeat
+	probes := time.NewTicker(probeEvery)
+	defer probes.Stop()
+	probing := true
 	for {
+		if suspects := t.suspects(); suspects != probing {
+			if probing = suspects; probing {
+				probes.Reset(probeEvery)
+			} else {
+				probes.Stop()
+			}
+		}
 		select {
 		case <-t.stop:
 			return
 		case <-ticker.C:
+			t.beat()
 		case <-t.kick:
+			t.beat()
+		case <-probes.C:
+			t.heartbeat(true)
+		case <-t.peersSet:
 		}
-		t.beat()
 	}
 }
 
-// beat enqueues one heartbeat per unblocked peer, then recomputes
-// reachability. Enqueueing is non-blocking, and dialing dead peers
-// happens on their writer goroutines — one unreachable peer can no
-// longer eat the heartbeat budget of the healthy ones.
-func (t *TCPTransport) beat() {
+// suspects reports whether some configured peer is outside the
+// reachable set.
+func (t *TCPTransport) suspects() bool {
 	t.mu.Lock()
-	if !t.closed {
-		for id := range t.peers {
-			if t.blocked.Contains(id) {
-				continue
-			}
-			pc := t.peerConnLocked(id)
-			if pc == nil {
-				continue
-			}
-			select {
-			case pc.queue <- nil:
-			default:
-				t.m.sendqDrops.Inc()
-			}
+	defer t.mu.Unlock()
+	for id := range t.peers {
+		if !t.reach.Contains(id) {
+			return true
 		}
 	}
-	t.mu.Unlock()
+	return false
+}
+
+// beat sends one heartbeat to every unblocked peer, then recomputes
+// reachability.
+func (t *TCPTransport) beat() {
+	t.heartbeat(false)
 	t.refreshReachability()
 }
 
+// heartbeat enqueues one heartbeat per unblocked peer or, as a probe,
+// per unblocked peer outside the reachable set. A probe is only that
+// frame: it refreshes nothing here, and whether the peer is back is
+// for the peer's echo to say. Enqueueing is non-blocking, and dialing
+// dead peers happens on their writer goroutines — one unreachable peer
+// can no longer eat the heartbeat budget of the healthy ones, and a
+// probe into a redial back-off is dropped there, not dialled.
+func (t *TCPTransport) heartbeat(probe bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return
+	}
+	for id := range t.peers {
+		if t.blocked.Contains(id) || probe && t.reach.Contains(id) {
+			continue
+		}
+		pc := t.peerConnLocked(id)
+		if pc == nil {
+			continue
+		}
+		select {
+		case pc.queue <- nil:
+		default:
+			t.m.sendqDrops.Inc()
+		}
+	}
+}
+
 // refreshReachability recomputes the reachable set from heartbeat
-// freshness and publishes it if it changed.
+// freshness and publishes it if it changed. This is the detector's
+// look: the time since the previous one, beyond the HeartbeatEvery the
+// ticker allows between two, is time this process did not run, and
+// every stamp is moved forward by it before silence is measured.
+// Moving the stamps, rather than skipping conviction for one look
+// after a long gap, needs no threshold for "long": a pause of any
+// length is credited exactly, and a dead peer's conviction is put off
+// by the pause and nothing more.
 func (t *TCPTransport) refreshReachability() {
-	now := time.Now()
 	reach := proc.NewSet(t.cfg.ID)
 	t.mu.Lock()
+	// Taken under the lock, so that a stall on it counts as well.
+	now := time.Now()
+	var credit time.Duration
+	if !t.lastLook.IsZero() {
+		credit = now.Sub(t.lastLook) - t.cfg.HeartbeatEvery
+	}
+	t.lastLook = now
 	for id, last := range t.lastHB {
+		if credit > 0 {
+			// Not past now: a frame stamped since the process resumed
+			// would otherwise buy its sender the whole pause as grace.
+			if last = last.Add(credit); last.After(now) {
+				last = now
+			}
+			t.lastHB[id] = last
+		}
 		if !t.blocked.Contains(id) && now.Sub(last) <= t.cfg.FailAfter {
 			reach = reach.With(id)
 		}

@@ -1,8 +1,9 @@
 package gcs
 
-// White-box tests for evidence-driven recovery detection. Every
-// transport here beats once an hour, so whatever these tests observe
-// was caused by a frame, never by a tick.
+// White-box tests for the failure detector. The quiet transports beat
+// once an hour and so never probe either: whatever the tests built on
+// them observe was caused by a frame, never by a tick. The probe and
+// pause tests further down pick their own period.
 
 import (
 	"errors"
@@ -13,17 +14,18 @@ import (
 
 	"dynvote/internal/metrics"
 	"dynvote/internal/proc"
+	"dynvote/internal/ykd"
 )
 
-// quietTransport returns a transport that never ticks and knows no
-// peers.
-func quietTransport(t *testing.T, id proc.ID) *TCPTransport {
+// beatingTransport returns a transport with the given heartbeat period
+// that knows no peers.
+func beatingTransport(t *testing.T, id proc.ID, every time.Duration) *TCPTransport {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("TCP test")
 	}
 	tr, err := NewTCPTransport(TCPConfig{
-		ID: id, OwnAddr: "127.0.0.1:0", HeartbeatEvery: time.Hour,
+		ID: id, OwnAddr: "127.0.0.1:0", HeartbeatEvery: every,
 		Metrics: metrics.NewRegistry(),
 	})
 	if err != nil {
@@ -33,14 +35,27 @@ func quietTransport(t *testing.T, id proc.ID) *TCPTransport {
 	return tr
 }
 
-// quietPair returns two such transports, 0 and 1, that know each
-// other's address.
-func quietPair(t *testing.T) (a, b *TCPTransport) {
+// quietTransport returns a transport that never ticks and knows no
+// peers.
+func quietTransport(t *testing.T, id proc.ID) *TCPTransport {
 	t.Helper()
-	a, b = quietTransport(t, 0), quietTransport(t, 1)
+	return beatingTransport(t, id, time.Hour)
+}
+
+// beatingPair returns two transports, 0 and 1, with the given heartbeat
+// period that know each other's address.
+func beatingPair(t *testing.T, every time.Duration) (a, b *TCPTransport) {
+	t.Helper()
+	a, b = beatingTransport(t, 0, every), beatingTransport(t, 1, every)
 	a.SetPeers(map[proc.ID]string{1: b.Addr()})
 	b.SetPeers(map[proc.ID]string{0: a.Addr()})
 	return a, b
+}
+
+// quietPair returns such a pair that never ticks.
+func quietPair(t *testing.T) (a, b *TCPTransport) {
+	t.Helper()
+	return beatingPair(t, time.Hour)
 }
 
 // awaitReach reads the transport's published reachability until it
@@ -176,11 +191,7 @@ func TestTCPBlockedPeerNeitherKicksNorReaches(t *testing.T) {
 	}
 	waitFor(t, "b to read the frame", func() bool { return b.m.framesIn.Value() == 1 })
 	time.Sleep(20 * time.Millisecond) // room for a beat that must not come
-	select {
-	case r := <-b.Reachability():
-		t.Errorf("b published %v on a frame from a blocked peer", r)
-	default:
-	}
+	nothingPublished(t, b, "on a frame from a blocked peer")
 	if r := b.Reach(); r.Contains(0) {
 		t.Errorf("blocked peer in reach %v", r)
 	}
@@ -221,5 +232,252 @@ func TestTCPBlockAppliesToQuietLink(t *testing.T) {
 	case f := <-b.Frames():
 		t.Errorf("frame %q delivered from a peer blocked before it was sent", f.Data)
 	default:
+	}
+}
+
+// nothingPublished fails if the transport has a reachability reading
+// waiting to be consumed.
+func nothingPublished(t *testing.T, tr *TCPTransport, when string) {
+	t.Helper()
+	select {
+	case r := <-tr.Reachability():
+		t.Errorf("transport %v published %v %s", tr.cfg.ID, r, when)
+	default:
+	}
+}
+
+// TestTCPProbeFindsHealWithinTick: with a tick a second apart, a healed
+// link is found by a probe, an eighth of a tick apart, and while the
+// partition lasts the probes publish nothing.
+func TestTCPProbeFindsHealWithinTick(t *testing.T) {
+	const every = time.Second
+	const probeEvery = every / probesPerBeat
+	opened := time.Now()
+	a, b := beatingPair(t, every)
+	alone := func(tr *TCPTransport) proc.Set { return proc.NewSet(tr.cfg.ID) }
+	both := proc.NewSet(0, 1)
+
+	// Nobody has ticked yet: the first probe does the set-up as well.
+	awaitReach(t, a, both)
+	awaitReach(t, b, both)
+	if up := time.Since(opened); up > every/2 {
+		t.Errorf("set-up took %v: no probe went out before the first tick", up)
+	}
+
+	a.Block(1)
+	b.Block(0)
+	awaitReach(t, a, alone(a)) // each at its own next tick
+	awaitReach(t, b, alone(b))
+	lost := time.Now()
+
+	// Probes go out (and are dropped) all through the partition; they
+	// must not look like news to anyone.
+	time.Sleep(3 * probeEvery)
+	nothingPublished(t, a, "during the partition")
+	nothingPublished(t, b, "during the partition")
+	for _, tr := range []*TCPTransport{a, b} {
+		if r := tr.Reach(); !r.Equal(alone(tr)) {
+			t.Errorf("transport %v: reach %v during the partition", tr.cfg.ID, r)
+		}
+	}
+
+	a.Block()
+	b.Block()
+	healed := time.Now()
+	awaitReach(t, a, both)
+	awaitReach(t, b, both)
+	took := time.Since(healed)
+	// One probe period to the next probe plus a round trip; the bound
+	// leaves room for a loaded race-detector run and still ends well
+	// before either side's next tick could have done the work.
+	if took > 3*probeEvery {
+		t.Errorf("heal found after %v, want within %v (probe period %v)", took, 3*probeEvery, probeEvery)
+	}
+	if sinceLoss := time.Since(lost); sinceLoss >= every {
+		t.Fatalf("test ran %v past the loss: a tick may have found the heal", sinceLoss)
+	}
+}
+
+// TestTCPProbeCadenceAndSteadyState: a suspected peer is sent frames at
+// the probe cadence, a reachable one next to it at the tick cadence,
+// and once nobody is suspected the ticks are all that is left.
+func TestTCPProbeCadenceAndSteadyState(t *testing.T) {
+	const (
+		every  = 160 * time.Millisecond
+		ticks  = 3
+		window = ticks * every
+	)
+	a := beatingTransport(t, 0, every)
+	b := beatingTransport(t, 1, every)
+	c := beatingTransport(t, 2, every)
+	// c ignores a and never answers it, so a suspects c for as long as
+	// c says; frames_in at b and c is a's frames_out split by peer.
+	c.Block(0)
+	a.SetPeers(map[proc.ID]string{1: b.Addr(), 2: c.Addr()})
+	b.SetPeers(map[proc.ID]string{0: a.Addr()})
+	c.SetPeers(map[proc.ID]string{0: a.Addr()})
+	waitFor(t, "a and b to reach each other", func() bool {
+		return a.Reach().Contains(1) && b.Reach().Contains(0)
+	})
+	waitFor(t, "a's probes to reach c", func() bool { return c.m.framesIn.Value() > 0 })
+	time.Sleep(every / 4) // let the set-up's echo exchange finish
+
+	// in counts the frames b and c receive over one window, and how
+	// many ticks the window can have held: it is as long as the sleep
+	// turned out, not as long as it was asked to be.
+	in := func() (toB, toC, maxTicks int64) {
+		b0, c0, t0 := b.m.framesIn.Value(), c.m.framesIn.Value(), time.Now()
+		time.Sleep(window)
+		return b.m.framesIn.Value() - b0, c.m.framesIn.Value() - c0, int64(time.Since(t0)/every) + 1
+	}
+	toB, toC, maxTicks := in()
+	if toB > maxTicks {
+		t.Errorf("reachable peer got %d frames while another was suspected, want <= %d", toB, maxTicks)
+	}
+	// Probes and ticks both: a late timer drops firings, never adds.
+	if lo, hi := int64(ticks*probesPerBeat/2), maxTicks*(probesPerBeat+1); toC < lo || toC > hi {
+		t.Errorf("suspected peer got %d frames, want %d..%d (%d probes per tick)", toC, lo, hi, probesPerBeat)
+	}
+	if a.Reach().Contains(2) {
+		t.Fatalf("a reaches %v: c was not suspected after all", a.Reach())
+	}
+
+	c.Block()
+	waitFor(t, "a and c to reach each other", func() bool {
+		return a.Reach().Contains(2) && c.Reach().Contains(0)
+	})
+	time.Sleep(every / 4)
+	toB, toC, maxTicks = in()
+	if toB > maxTicks || toC > maxTicks {
+		t.Errorf("with everyone reachable b got %d and c got %d frames, want <= %d each", toB, toC, maxTicks)
+	}
+	if toB == 0 || toC == 0 {
+		t.Errorf("with everyone reachable b got %d and c got %d frames: the tick stopped", toB, toC)
+	}
+}
+
+// TestTCPProbeRespectsBlock: a probe to a blocked peer is not sent, and
+// one from a blocked peer is read and dropped without a stamp, a kick
+// or an echo.
+func TestTCPProbeRespectsBlock(t *testing.T) {
+	const every = time.Second
+	opened := time.Now()
+	a, b := beatingTransport(t, 0, every), beatingTransport(t, 1, every)
+	a.Block(1)
+	a.SetPeers(map[proc.ID]string{1: b.Addr()})
+	b.SetPeers(map[proc.ID]string{0: a.Addr()})
+	// b suspects a and probes it; a suspects b and may not.
+	waitFor(t, "two of b's probes to arrive", func() bool { return a.m.framesIn.Value() >= 2 })
+	// The first tick publishes whatever it finds; what is asserted below
+	// is about the time before it.
+	if left := every - time.Since(opened); left < every/probesPerBeat {
+		t.Skipf("two probes took %v: too close to the first tick to tell", every-left)
+	}
+	if n := a.m.framesOut.Value(); n != 0 {
+		t.Errorf("a sent %d frames to a peer it blocks", n)
+	}
+	if n := b.m.framesIn.Value(); n != 0 {
+		t.Errorf("b received %d frames from a peer that blocks it", n)
+	}
+	nothingPublished(t, a, "on probes from a blocked peer")
+	nothingPublished(t, b, "with no answer to its probes")
+	if r := a.Reach(); r.Contains(1) {
+		t.Errorf("blocked peer in reach %v", r)
+	}
+}
+
+// TestTCPLocalPauseConvictsNobody: a detector that could not look for
+// 2×FailAfter, here because its lock was held, does not read its own
+// absence as its peer's silence. The peer, which kept running, does
+// convict the stalled process; and a peer that then really dies is
+// still convicted.
+func TestTCPLocalPauseConvictsNobody(t *testing.T) {
+	const every = 20 * time.Millisecond
+	a, b := beatingPair(t, every)
+	both := proc.NewSet(0, 1)
+	awaitReach(t, a, both)
+	awaitReach(t, b, both)
+
+	// After a stall the detector races the readers for the lock, and a
+	// detector that charges its peers for the stall is only caught when
+	// it wins; five stalls make a lucky pass unlikely.
+	for round := 0; round < 5; round++ {
+		// The stall lasts 2×FailAfter and until b, which kept running,
+		// has convicted a: on a loaded box b may have been starved for
+		// part of it and rightly not count that part either.
+		func() {
+			a.mu.Lock()
+			defer a.mu.Unlock() // also when awaitReach gives up
+			stalled := time.Now()
+			awaitReach(t, b, proc.NewSet(1))
+			time.Sleep(2*a.cfg.FailAfter - time.Since(stalled))
+		}()
+
+		awaitReach(t, b, both) // b hears a again
+		time.Sleep(3 * every)  // looks a had every chance to get wrong
+		nothingPublished(t, a, "after its own stall")
+		if r := a.Reach(); !r.Equal(both) {
+			t.Fatalf("a reaches %v after its own stall, want %v", r, both)
+		}
+	}
+
+	_ = b.Close()
+	awaitReach(t, a, proc.NewSet(0))
+}
+
+// TestTCPPausedLeaderRejoinsItsCluster: the membership step runs only
+// on a published reachability change and the smallest reachable id
+// leads. When that id alone stalls for 2×FailAfter the others convict
+// it and move to a view without it; resumed, it keeps its reachable
+// set and publishes nothing, so the others, who gain a smaller peer
+// and wait for it to lead, have to tell it: it saw no change.
+func TestTCPPausedLeaderRejoinsItsCluster(t *testing.T) {
+	const (
+		n     = 3
+		every = 20 * time.Millisecond
+	)
+	trs := make([]*TCPTransport, n)
+	addrs := make(map[proc.ID]string, n)
+	for i := range trs {
+		trs[i] = beatingTransport(t, proc.ID(i), every)
+		addrs[proc.ID(i)] = trs[i].Addr()
+	}
+	nodes := make([]*Node, n)
+	for i, tr := range trs {
+		tr.SetPeers(addrs)
+		node, err := NewNode(Config{
+			ID: proc.ID(i), N: n, Transport: tr,
+			Algorithm: ykd.Factory(ykd.VariantYKD),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.Run()
+		t.Cleanup(node.Stop)
+		nodes[i] = node
+	}
+	together := func() bool {
+		v := nodes[0].CurrentView()
+		for _, nd := range nodes {
+			if got := nd.CurrentView(); got.ID != v.ID || got.Size() != n || !nd.InPrimary() {
+				return false
+			}
+		}
+		return true
+	}
+	waitFor(t, "the cluster to form", together)
+
+	for round := 0; round < 3; round++ {
+		func() {
+			trs[0].mu.Lock()
+			defer trs[0].mu.Unlock()
+			stalled := time.Now()
+			waitFor(t, "1 and 2 to go on without 0", func() bool {
+				rest := proc.NewSet(1, 2)
+				return nodes[1].CurrentView().Members.Equal(rest) && nodes[2].CurrentView().Members.Equal(rest)
+			})
+			time.Sleep(2*trs[0].cfg.FailAfter - time.Since(stalled))
+		}()
+		waitFor(t, "all three to share one view again", together)
 	}
 }
