@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test test-race bench bench-json bench-compare alloc-guard race-reset set-model soak-short soak-large soak-bench failover-bench fd-pause loadgen-smoke loadgen-c1k farm-smoke
+.PHONY: check fmt vet build test test-race bench bench-json bench-compare alloc-guard race-reset set-model soak-short soak-large soak-bench bench-pairs failover-bench fd-pause loadgen-smoke loadgen-c1k farm-smoke
 
 # Sequence number for committed benchmark reports (BENCH_<n>.json).
 BENCH_N ?= 10
@@ -94,12 +94,22 @@ soak-short:
 	$(GO) run -race ./cmd/quorumcheck -changes 2000 -procs 24 -chains 4 -progress 0
 
 # soak-bench measures quorumcheck's default soak (six algorithms,
-# checker on, 4096-event trace ring, through the farm) and then what
-# the ring costs it: trace.record_ns, trace.cost_share,
-# sim.ns_per_delivery and sim.changes_per_s in the output are the
-# numbers the internal/trace package doc, DESIGN.md and README quote.
+# checker on, -trace 4096, through the farm). Its chains run untraced:
+# the ring is attached only to the replay of a chain that fails, and
+# none does. trace.record_ns and trace.cost_share in the traced pass
+# price the ring on the benchmark's own shadow replay, i.e. what a
+# traced replay costs, not what the soak pays.
 soak-bench:
 	$(GO) run ./benchmark -workload soak_farm_64 -trace 1
+
+# bench-pairs is the "ten alternating pairs" rule as one command: the
+# working tree against the commit BASE on one benchmark workload, N
+# pairs (default 10), then per end-to-end metric the two medians and
+# the pairs each side won. BASE and both binaries live in $TMPDIR for
+# the run. Not part of check: ten pairs of soak_farm_64 take ~5 min.
+#   make bench-pairs BASE=HEAD~ W=soak_farm_64 N=10
+bench-pairs:
+	GO=$(GO) sh scripts/bench-pairs.sh "$(BASE)" "$(W)" "$(or $(N),10)"
 
 # failover-bench measures rejoin after a healed partition on a live
 # 3-replica TCP cluster and then splits it along the timeline:

@@ -172,10 +172,10 @@ func BenchmarkSoakSafety(b *testing.B) {
 	}
 }
 
-// BenchmarkSoakSafetyTraced is BenchmarkSoakSafety as quorumcheck
-// actually runs it: the default 4096-event trace ring attached,
+// BenchmarkSoakSafetyTraced is BenchmarkSoakSafety with the ring
+// quorumcheck attaches when it replays a failed chain: 4096 events,
 // deliveries sampled one in eight. The difference between the two is
-// what the recorder costs a soak.
+// what the recorder costs a traced run.
 func BenchmarkSoakSafetyTraced(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

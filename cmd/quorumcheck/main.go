@@ -68,7 +68,7 @@ func run(args []string) error {
 		seed    = fs.Int64("seed", 20000505, "random seed")
 		algName = fs.String("alg", "", `single algorithm (default: all; "naive" runs the known-broken strawman to validate the checker)`)
 		every   = fs.Duration("progress", 10*time.Second, "progress report interval per chain (0 disables)")
-		retain  = fs.Int("trace", 4096, "per-chain trace ring-buffer capacity dumped on a violation (0 disables)")
+		retain  = fs.Int("trace", 4096, "trace ring capacity dumped on a violation, attached only to the replay of a failed chain (0 disables)")
 		chains  = fs.Int("chains", 8, "independent cascading chains per algorithm (1 replays the historical serial soak)")
 		workers = fs.Int("workers", 0, "concurrent workers scheduling chains (0 = GOMAXPROCS, 1 = sequential)")
 		jsonOut = fs.String("json", "", "write a machine-readable campaign report to this file")

@@ -21,6 +21,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,8 +55,9 @@ type Config struct {
 	// Chains is the number of independent cascading chains per
 	// algorithm. 0 or 1 runs the historical single-chain soak.
 	Chains int
-	// TraceRetain is the per-chain trace ring-buffer capacity dumped
-	// when that chain trips the checker; 0 disables tracing.
+	// TraceRetain is the capacity of the trace ring dumped when a chain
+	// trips the checker; 0 disables tracing. Chains run untraced: the
+	// ring is attached only to the replay of a failed chain.
 	TraceRetain int
 	// ProgressEvery throttles Progress callbacks to at most one per
 	// chain per interval; 0 disables progress entirely.
@@ -209,8 +211,8 @@ func chainBudget(total, chains, chain int) int {
 // from a completed one.
 var ErrAborted = fmt.Errorf("campaign: chain aborted")
 
-// errAborted is the historical internal name.
-var errAborted = ErrAborted
+// errReplayDiverged marks a failed chain whose traced replay failed otherwise.
+var errReplayDiverged = fmt.Errorf("campaign: traced replay diverged from the untraced pass")
 
 // Run executes the campaign: len(Factories) × Chains independent
 // cascading chains, scheduled across the experiment worker pool
@@ -232,37 +234,26 @@ func Run(cfg Config) (*Result, error) {
 
 	// Per-algorithm completion bookkeeping: the worker finishing an
 	// algorithm's last chain emits its merged result.
-	chainsLeft := make([]atomic.Int32, algs)
+	chainsDone := make([]atomic.Int32, algs)
 	algStart := make([]atomic.Int64, algs) // first chain start, UnixNano; 0 = not started
-	for i := range chainsLeft {
-		chainsLeft[i].Store(int32(cfg.Chains))
-	}
 
 	start := time.Now()
 	experiment.ParallelWorkers(jobs, func(_, job int) {
 		alg, chain := job/cfg.Chains, job%cfg.Chains
 		f := cfg.Factories[alg]
-
-		now := time.Now().UnixNano()
-		algStart[alg].CompareAndSwap(0, now)
+		algStart[alg].CompareAndSwap(0, time.Now().UnixNano())
 
 		errs[job] = runChain(&cfg, f, chain, &stats[job], &abort, &hookMu,
 			time.Unix(0, algStart[alg].Load()))
-		if errs[job] != nil && errs[job] != errAborted {
+		if errs[job] != nil && errs[job] != ErrAborted {
 			abort.Store(true)
 		}
 
-		if chainsLeft[alg].Add(-1) == 0 && cfg.AlgorithmDone != nil {
-			res := mergeAlgorithm(f.Name, stats[alg*cfg.Chains:(alg+1)*cfg.Chains])
+		if chainsDone[alg].Add(1) == int32(cfg.Chains) && cfg.AlgorithmDone != nil {
+			lo, hi := alg*cfg.Chains, (alg+1)*cfg.Chains
+			res := AssembleAlgorithm(f.Name, stats[lo:hi])
 			res.Elapsed = time.Since(time.Unix(0, algStart[alg].Load()))
-			clean := true
-			for _, err := range errs[alg*cfg.Chains : (alg+1)*cfg.Chains] {
-				if err != nil {
-					clean = false
-					break
-				}
-			}
-			if clean {
+			if !slices.ContainsFunc(errs[lo:hi], func(err error) bool { return err != nil }) {
 				hookMu.Lock()
 				cfg.AlgorithmDone(res)
 				hookMu.Unlock()
@@ -282,12 +273,9 @@ func Run(cfg Config) (*Result, error) {
 // bit-identical to a local run's at any worker count.
 func AssembleResult(cfg Config, stats []ChainStats, errs []error, elapsed time.Duration) (*Result, error) {
 	cfg = cfg.withDefaults()
-	res := &Result{Elapsed: elapsed}
-	if cfg.Abort != nil && cfg.Abort.Load() {
-		res.Aborted = true
-	}
+	res := &Result{Elapsed: elapsed, Aborted: cfg.Abort != nil && cfg.Abort.Load()}
 	for alg := 0; alg < len(cfg.Factories); alg++ {
-		a := mergeAlgorithm(cfg.Factories[alg].Name, stats[alg*cfg.Chains:(alg+1)*cfg.Chains])
+		a := AssembleAlgorithm(cfg.Factories[alg].Name, stats[alg*cfg.Chains:(alg+1)*cfg.Chains])
 		if a.Runs > 0 {
 			a.Elapsed = elapsed // upper bound; refined by AlgorithmDone consumers
 		}
@@ -295,7 +283,7 @@ func AssembleResult(cfg Config, stats []ChainStats, errs []error, elapsed time.D
 	}
 	var first error
 	for _, err := range errs {
-		if err == nil || err == errAborted {
+		if err == nil || err == ErrAborted {
 			continue
 		}
 		ce, ok := err.(*ChainError)
@@ -317,17 +305,12 @@ func AssembleResult(cfg Config, stats []ChainStats, errs []error, elapsed time.D
 // non-nil, stops the chain cooperatively at its next run boundary
 // (returning ErrAborted); the farm worker wires it to the
 // coordinator's abort frame. Partial statistics accumulated before an
-// abort or violation are returned alongside the error.
+// abort or violation are returned alongside the error. As in Run, a
+// failed chain is replayed with the trace ring; no hooks fire.
 func RunChain(cfg Config, alg, chain int, abort *atomic.Bool) (ChainStats, error) {
 	cfg = cfg.withDefaults()
-	if abort == nil {
-		abort = new(atomic.Bool)
-	}
-	var (
-		stat   ChainStats
-		hookMu sync.Mutex
-	)
-	err := runChain(&cfg, cfg.Factories[alg], chain, &stat, abort, &hookMu, time.Now())
+	var stat ChainStats
+	err := runChain(&cfg, cfg.Factories[alg], chain, &stat, abort, nil, time.Now())
 	return stat, err
 }
 
@@ -335,11 +318,6 @@ func RunChain(cfg Config, alg, chain int, abort *atomic.Bool) (ChainStats, error
 // the merge Run applies per algorithm, exported so the farm
 // coordinator's AlgorithmDone hook carries the identical shape.
 func AssembleAlgorithm(name string, chains []ChainStats) AlgorithmResult {
-	return mergeAlgorithm(name, chains)
-}
-
-// mergeAlgorithm folds one algorithm's chain stats, in chain order.
-func mergeAlgorithm(name string, chains []ChainStats) AlgorithmResult {
 	res := AlgorithmResult{Algorithm: name, Chains: append([]ChainStats(nil), chains...)}
 	for _, c := range chains {
 		res.Changes += c.Changes
@@ -350,14 +328,42 @@ func mergeAlgorithm(name string, chains []ChainStats) AlgorithmResult {
 	return res
 }
 
-// runChain executes one cascading chain to its budget: heal, run a
-// segment of changes, repeat — the §2.2 loop — with the safety checker
-// enabled after every message round.
+// runChain walks a chain untraced. When it fails and TraceRetain is set,
+// the chain, a pure function of (seed, algorithm, chain), is replayed
+// with the ring attached; stat keeps the untraced walk's counts, and
+// a replay that does not fail the same way is reported as a divergence.
 func runChain(cfg *Config, f core.Factory, chain int, stat *ChainStats,
 	abort *atomic.Bool, hookMu *sync.Mutex, algStart time.Time) error {
+	err := walkChain(cfg, f, chain, stat, abort, hookMu, algStart, false)
+	first, failed := err.(*ChainError)
+	if !failed || cfg.TraceRetain <= 0 {
+		return err
+	}
+	err = walkChain(cfg, f, chain, new(ChainStats), nil, nil, algStart, true)
+	if replay, ok := err.(*ChainError); ok && replay.Changes == first.Changes && checkerText(replay.Err) == first.Err.Error() {
+		return replay
+	}
+	first.Err = fmt.Errorf("%w: untraced: %v; traced replay: %v", errReplayDiverged, first.Err, err)
+	return first
+}
+
+// checkerText is a failure's text without the trace a traced walk attaches.
+func checkerText(err error) string {
+	if ve, ok := err.(*sim.ViolationError); ok {
+		err = ve.Err
+	}
+	return err.Error()
+}
+
+// walkChain executes one cascading chain to its budget: heal, run a
+// segment of changes, repeat — the §2.2 loop — with the checker on
+// after every message round. Progress fires only with a hookMu to
+// serialize it. A traced walk attaches the ring and ignores both abort
+// flags: it replays a failure that has already happened.
+func walkChain(cfg *Config, f core.Factory, chain int, stat *ChainStats,
+	abort *atomic.Bool, hookMu *sync.Mutex, algStart time.Time, traced bool) error {
 	budget := chainBudget(cfg.Changes, cfg.Chains, chain)
-	stat.Algorithm = f.Name
-	stat.Chain = chain
+	stat.Algorithm, stat.Chain = f.Name, chain
 
 	reg := metrics.NewRegistry()
 	simCfg := sim.Config{
@@ -367,7 +373,7 @@ func runChain(cfg *Config, f core.Factory, chain int, stat *ChainStats,
 		CheckSafety: true,
 		Metrics:     reg,
 	}
-	if cfg.TraceRetain > 0 {
+	if traced {
 		simCfg.Trace = trace.NewRecorder(cfg.TraceRetain)
 		// Keep structural events (views, connectivity changes) intact
 		// but thin the delivery firehose so the retained window spans
@@ -381,32 +387,25 @@ func runChain(cfg *Config, f core.Factory, chain int, stat *ChainStats,
 	lastReport := start
 	defer func() { stat.Wall = time.Since(start) }()
 	for stat.Changes < budget {
-		if abort.Load() || (cfg.Abort != nil && cfg.Abort.Load()) {
-			return errAborted
+		if !traced && (abort != nil && abort.Load() || cfg.Abort != nil && cfg.Abort.Load()) {
+			return ErrAborted
 		}
 		d.Heal()
 		res, err := d.Run()
 		stat.Assertions = assertions.Value()
 		if err != nil {
-			return &ChainError{
-				Algorithm: f.Name, Chain: chain, Chains: cfg.Chains,
-				Changes: stat.Changes, Err: err,
-			}
+			return &ChainError{Algorithm: f.Name, Chain: chain, Chains: cfg.Chains, Changes: stat.Changes, Err: err}
 		}
 		stat.Changes += res.ChangesInjected
 		stat.Runs++
 		if res.PrimaryFormed {
 			stat.Formed++
 		}
-		if cfg.Progress != nil && cfg.ProgressEvery > 0 && time.Since(lastReport) >= cfg.ProgressEvery {
+		if hookMu != nil && cfg.Progress != nil && cfg.ProgressEvery > 0 && time.Since(lastReport) >= cfg.ProgressEvery {
 			lastReport = time.Now()
-			u := ProgressUpdate{
-				Algorithm: f.Name, Chain: chain, Chains: cfg.Chains,
-				Injected: stat.Changes, Budget: budget,
-				Runs: stat.Runs, Formed: stat.Formed,
-				Assertions: stat.Assertions,
-				Elapsed:    time.Since(start), AlgorithmStart: algStart,
-			}
+			u := ProgressUpdate{Algorithm: f.Name, Chain: chain, Chains: cfg.Chains,
+				Injected: stat.Changes, Budget: budget, Runs: stat.Runs, Formed: stat.Formed,
+				Assertions: stat.Assertions, Elapsed: time.Since(start), AlgorithmStart: algStart}
 			hookMu.Lock()
 			cfg.Progress(u)
 			hookMu.Unlock()

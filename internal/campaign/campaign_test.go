@@ -128,7 +128,8 @@ func TestChainBudgetSplit(t *testing.T) {
 
 // TestNaiveViolationAbortsCampaign: a violation in any chain must
 // surface as a ChainError carrying the trace dump, and abort the other
-// chains rather than letting the campaign run to its full budget.
+// chains rather than letting the campaign run to its full budget. Every
+// chain that failed before the abort carries its own dump.
 func TestNaiveViolationAbortsCampaign(t *testing.T) {
 	defer experiment.SetParallelism(0)
 	for _, workers := range []int{1, 4} {
@@ -159,6 +160,13 @@ func TestNaiveViolationAbortsCampaign(t *testing.T) {
 		}
 		if len(res.Violations) == 0 {
 			t.Errorf("workers=%d: result records no violations", workers)
+		}
+		// Each failed chain is replayed with the ring, and another
+		// chain's abort must not cut that replay short.
+		for _, v := range res.Violations {
+			if !strings.Contains(v.Error(), "--- trace") {
+				t.Errorf("workers=%d: chain %d's violation carries no trace: %.200s", workers, v.Chain, v.Error())
+			}
 		}
 		// The abort must have stopped well short of the full budget.
 		if got := res.Algorithms[0].Changes; got >= cfg.Changes {

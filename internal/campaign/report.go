@@ -75,11 +75,11 @@ func NewReport(tool string, cfg Config, res *Result, workers int, violation erro
 		Chains:      cfg.Chains,
 		Workers:     workers,
 		WallSeconds: res.Elapsed.Seconds(),
+		Aborted:     res.Aborted,
 	}
 	if violation != nil {
 		r.Violation = violation.Error()
 	}
-	r.Aborted = res.Aborted
 	for _, a := range res.Algorithms {
 		ar := AlgorithmReport{
 			Algorithm:       a.Algorithm,

@@ -201,11 +201,15 @@ func TestFarmWorkerKillRequeuesExactlyOnce(t *testing.T) {
 
 // TestFarmViolationAbortsFarm: the naive strawman's violation must
 // surface at the coordinator as a ChainError with the trace dump, and
-// abort the farm rather than running the full budget.
+// abort the farm rather than running the full budget. Which chains fail
+// before the abort is a matter of scheduling; what a failing chain
+// reports is not: its error text is byte for byte the local campaign's.
 func TestFarmViolationAbortsFarm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("farm soak in -short mode")
 	}
+	defer experiment.SetParallelism(0)
+	experiment.SetParallelism(2)
 	cfg := campaign.Config{
 		Factories:   []core.Factory{naive.Factory()},
 		Procs:       8,
@@ -229,6 +233,30 @@ func TestFarmViolationAbortsFarm(t *testing.T) {
 	}
 	if got := res.Algorithms[0].Changes; got >= cfg.Changes {
 		t.Errorf("farm ran to full budget (%d changes) despite violation", got)
+	}
+
+	local, lerr := campaign.Run(cfg)
+	if lerr == nil {
+		t.Fatal("the naive strawman survived the local campaign")
+	}
+	localMsg := map[int]string{} // by chain; one algorithm
+	for _, v := range local.Violations {
+		localMsg[v.Chain] = v.Error()
+	}
+	for _, v := range res.Violations {
+		want, ok := localMsg[v.Chain]
+		if !ok {
+			// The local campaign aborted this chain before it failed:
+			// run it alone.
+			_, err := campaign.RunChain(cfg, 0, v.Chain, nil)
+			if err == nil {
+				t.Fatalf("chain %d failed on the farm and passes locally", v.Chain)
+			}
+			want = err.Error()
+		}
+		if got := v.Error(); got != want {
+			t.Errorf("chain %d: farm and local violations differ:\nfarm:  %.300s\nlocal: %.300s", v.Chain, got, want)
+		}
 	}
 }
 

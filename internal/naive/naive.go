@@ -114,17 +114,19 @@ func (a *Algorithm) Deliver(from proc.ID, m core.Message) {
 
 // maybeDeclare is the fatal shortcut: once all states are in, the
 // process declares the primary immediately, ASSUMING everyone else
-// will too — precisely the assumption Figure 3-1 breaks.
+// will too — precisely the assumption Figure 3-1 breaks. Split brain
+// leaves equal-numbered sessions with different members; the smallest
+// member's wins, so that a run is a function of its seed alone.
 func (a *Algorithm) maybeDeclare() {
 	if a.statesGot != a.cur.Size() {
 		return
 	}
 	newest := a.lastPrimary
-	for _, s := range a.states {
-		if s.Number > newest.Number {
+	a.cur.Members.ForEach(func(p proc.ID) {
+		if s := a.states[p]; s.Number > newest.Number {
 			newest = s
 		}
-	}
+	})
 	if quorum.SubQuorum(a.cur.Members, newest.Members) {
 		a.counter = newest.Number + 1
 		a.lastPrimary = view.NewSession(a.counter, a.cur)

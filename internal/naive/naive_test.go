@@ -87,6 +87,35 @@ func TestNaiveWorksWithoutInterruptions(t *testing.T) {
 	}
 }
 
+// TestTieBreakIsDeterministic: two members report different sessions
+// with the same number, which split brain produces. Which one counts
+// as newest decides whether the view declares, and it must not depend
+// on map iteration or arrival order: the smallest member's session wins.
+func TestTieBreakIsDeterministic(t *testing.T) {
+	p1Session := view.Session{Number: 5, Members: proc.NewSet(1, 2, 3)} // {0,1,2} holds a majority
+	p2Session := view.Session{Number: 5, Members: proc.NewSet(3, 4, 5)} // {0,1,2} holds none of it
+	cur := view.View{ID: 7, Members: proc.NewSet(0, 1, 2)}
+	for i := 0; i < 100; i++ {
+		a := naive.New(0, view.View{ID: 0, Members: proc.NewSet(0, 1, 2, 3, 4, 5)})
+		a.ViewChange(cur)
+		first, second := proc.ID(1), proc.ID(2)
+		if i%2 == 1 {
+			first, second = second, first
+		}
+		for _, from := range []proc.ID{first, second} {
+			s := p1Session
+			if from == 2 {
+				s = p2Session
+			}
+			a.Deliver(from, &naive.StateMessage{ViewID: cur.ID, LastPrimary: s})
+		}
+		if !a.InPrimary() || !a.PrimaryMembers().Equal(cur.Members) {
+			t.Fatalf("trial %d: primary=%v members=%v, want p1's session to win and %v to declare",
+				i, a.InPrimary(), a.PrimaryMembers(), cur)
+		}
+	}
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	m := &naive.StateMessage{ViewID: 9, LastPrimary: view.Session{Number: 3, Members: proc.NewSet(0, 2)}}
 	b, err := naive.Codec{}.Encode(m)

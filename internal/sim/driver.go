@@ -58,11 +58,12 @@ type Config struct {
 	// drops and connectivity changes into a bounded ring buffer. On a
 	// checker violation the retained history is attached to the error
 	// (see ViolationError), turning a failed soak into a debuggable
-	// artifact.
+	// artifact. The campaign runs its chains without one and attaches
+	// it only to the replay of a chain that failed.
 	Trace *trace.Recorder
 	// TraceSampleEvery thins delivery/drop trace events to one in N
-	// when > 1 so long soaks can keep a recorder attached cheaply;
-	// views and changes are always recorded.
+	// when > 1, so the retained window spans more history; views and
+	// changes are always recorded.
 	TraceSampleEvery int
 }
 

@@ -1,15 +1,17 @@
 // Package trace records structured simulation events for debugging
 // and for the demo binaries: view installations, message deliveries
-// and drops, primary formations. A Recorder is a ring of fixed length
-// that stays attached through a whole soak, so that the most recent
-// history is there when an invariant trips. Recording takes a mutex and
-// writes one slot in place: no allocation, and a cost that does not
-// depend on the capacity.
+// and drops, primary formations. A Recorder is a ring of fixed length,
+// so that the most recent history is there when an invariant trips.
+// Recording takes a mutex and writes one slot in place: no allocation,
+// and a cost that does not depend on the capacity.
 //
-// A Record into a full ring takes about 24 ns whether the capacity is
-// 16, 4096 or 65536 (BenchmarkRecordFull). `make soak-bench` measures
-// what that adds up to over quorumcheck's default soak; DESIGN.md
-// "Observability" has the table.
+// The soak does not pay for it on a passing chain. A campaign chain is
+// a pure function of its seed, so quorumcheck runs every chain without
+// a recorder and attaches one only when it replays a chain that failed;
+// the replay stops at the same violation with the ring full of its
+// last moments. A Record into a full ring takes about 24 ns whether the
+// capacity is 16, 4096 or 65536 (BenchmarkRecordFull); DESIGN.md
+// "Observability" has the numbers.
 package trace
 
 import (
