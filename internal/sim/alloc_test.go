@@ -26,7 +26,7 @@ type chatterMsg struct{}
 func (chatterMsg) Kind() string { return "test/chatter" }
 
 // chatter broadcasts the same message every round, forever: the
-// maximum-traffic algorithm, exercising Collect and DeliverOne without
+// maximum-traffic algorithm, exercising Collect and DeliverBatch without
 // any algorithm-side work.
 type chatter struct {
 	out []core.Message

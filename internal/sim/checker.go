@@ -55,18 +55,18 @@ func (e *ViolationError) Unwrap() error { return e.Err }
 // view — counts as a declared primary when every one of its members
 // reports InPrimary.
 func CheckOnePrimary(c *Cluster) error {
-	primaries := 0
-	var first string
-	for _, v := range c.CurrentViews() {
-		if allInPrimary(c, v.Members) {
-			primaries++
-			if primaries == 1 {
-				first = v.String()
-				continue
-			}
-			return &SafetyError{Reason: fmt.Sprintf(
-				"two primary components declared: %s and %s", first, v)}
+	views := c.CurrentViews()
+	first := -1 // the first primary's index; formatted only if a second turns up
+	for i := range views {
+		if !allInPrimary(c, views[i].Members) {
+			continue
 		}
+		if first < 0 {
+			first = i
+			continue
+		}
+		return &SafetyError{Reason: fmt.Sprintf(
+			"two primary components declared: %s and %s", views[first], views[i])}
 	}
 	return nil
 }

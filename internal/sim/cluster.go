@@ -24,15 +24,25 @@ import (
 )
 
 // envelope is one broadcast in flight: a message, the view it was sent
-// in, and the recipients it has not yet reached (in randomized order).
+// in, and its recipients in randomized order. How far delivery has got
+// is kept by the sender's lane, not here.
 type envelope struct {
 	viewID     int64
 	msg        core.Message
-	recipients []proc.ID
-	next       int // index of the next recipient to deliver to
+	recipients []int32
 }
 
-func (e *envelope) done() bool { return e.next >= len(e.recipients) }
+// lane is one sender with pending deliveries. It holds the sender's
+// head envelope inline — the recipients not yet reached, next first, and
+// the view ID and message — so a delivery step reads one lane and
+// nothing behind it. The lane reloads from the next queued envelope
+// when the head is finished.
+type lane struct {
+	recips []int32
+	viewID int64
+	msg    core.Message
+	sender int
+}
 
 // DropFilter lets tests script message loss: returning true drops the
 // single delivery of msg from sender to recipient.
@@ -49,15 +59,18 @@ type Cluster struct {
 	algs    []core.Algorithm
 	cur     []view.View // current view per process
 
-	// Structure-of-arrays mirrors of the per-process state the delivery
-	// inner loop reads: one int64/bool load per delivery instead of
-	// dragging a 40-byte view.View or a bitset probe through the cache.
-	// curID[p] mirrors cur[p].ID; crashedFlag[p] mirrors crashed.
+	// Structure-of-arrays mirrors of the per-process state: one int64
+	// load per delivery instead of dragging a 40-byte view.View or a
+	// bitset probe through the cache. curID[p] is cur[p].ID, or -1 —
+	// which no view ID equals — while p is crashed, so the delivery loop
+	// drops for a stale view and for a crashed recipient with one
+	// compare. crashedFlag[p] mirrors crashed; the delivery loop reads
+	// it only to name the reason for a traced drop.
 	curID       []int64
 	crashedFlag []bool
 
-	queues    [][]*envelope      // per-sender FIFO of in-flight broadcasts
-	active    []int              // senders with pending deliveries (unordered)
+	queues    [][]*envelope      // per-sender FIFO of in-flight broadcasts; the head's progress is in its lane
+	lanes     []lane             // one per sender with pending deliveries (unordered)
 	pending   int                // total undelivered (envelope, recipient) pairs
 	crashed   proc.Set           // fail-stopped processes: no polls, no deliveries
 	snapshots map[proc.ID][]byte // durable state captured at crash time
@@ -74,10 +87,10 @@ type Cluster struct {
 	// "Ablations").
 	envChunks [][]envelope
 	envUsed   int         // envelopes issued from the arena since the last Reset
-	idBlocks  []proc.ID   // current recipient-ID block being carved
+	idBlocks  []int32     // current recipient-ID block being carved
 	free      []*envelope // recycled envelopes with reusable recipient slices
 
-	recipBase     [][]proc.ID // per-sender members-minus-sender, ascending order
+	recipBase     [][]int32   // per-sender members-minus-sender, ascending order
 	recipView     []int64     // view ID each recipBase entry was built for (-1: none)
 	memberScratch []proc.ID   // IssueViews shuffle buffer
 	viewsOut      []view.View // CurrentViews result, reused per call
@@ -119,13 +132,13 @@ func NewCluster(factory core.Factory, n int) *Cluster {
 		curID:       make([]int64, n),
 		crashedFlag: make([]bool, n),
 		queues:      make([][]*envelope, n),
-		recipBase:   make([][]proc.ID, n),
+		recipBase:   make([][]int32, n),
 		recipView:   make([]int64, n),
 	}
 	// All n recipient caches are carved from one block: at kilo-process
 	// sizes the per-sender make calls were n allocations of n-1 IDs
 	// each, dominating construction.
-	block := make([]proc.ID, n*(n-1))
+	block := make([]int32, n*(n-1))
 	for i := 0; i < n; i++ {
 		c.algs[i] = factory.New(proc.ID(i), initial)
 		c.cur[i] = initial
@@ -150,19 +163,21 @@ func NewCluster(factory core.Factory, n int) *Cluster {
 // same run on a fresh one (the reset-vs-fresh golden tests prove it).
 func (c *Cluster) Reset() {
 	initial := c.initial
-	// Drop the message references held by in-flight envelopes (only
-	// active senders have any) so the rewound arena pins no payloads;
-	// the envelopes themselves — and the recipient slices they carved —
-	// are reclaimed wholesale by rewinding the arena cursor below.
-	for _, s := range c.active {
-		q := c.queues[s]
+	// Drop the message references held by in-flight envelopes and lanes
+	// (only senders with a lane have any) so the rewound arena pins no
+	// payloads; the envelopes themselves — and the recipient slices they
+	// carved — are reclaimed wholesale by rewinding the arena cursor
+	// below.
+	for _, l := range c.lanes {
+		q := c.queues[l.sender]
 		for i, env := range q {
 			env.msg = nil
 			q[i] = nil
 		}
-		c.queues[s] = q[:0]
+		c.queues[l.sender] = q[:0]
 	}
-	c.active = c.active[:0]
+	clear(c.lanes)
+	c.lanes = c.lanes[:0]
 	c.free = c.free[:0]
 	c.envUsed = 0 // the one-store arena rewind: every envelope is fresh again
 	for p := 0; p < c.n; p++ {
@@ -201,6 +216,7 @@ func (c *Cluster) Crash(p proc.ID) {
 	}
 	c.crashed = c.crashed.With(p)
 	c.crashedFlag[p] = true
+	c.curID[p] = -1
 	if snap, ok := c.algs[p].(core.Snapshotter); ok {
 		if data, err := snap.Snapshot(); err == nil {
 			if c.snapshots == nil {
@@ -211,20 +227,27 @@ func (c *Cluster) Crash(p proc.ID) {
 	}
 	// Discard the crashed process's undelivered broadcasts, nilling
 	// the queue slots so the backing array does not pin the discarded
-	// envelopes (and their messages) for the rest of the run.
-	for i, env := range c.queues[p] {
-		c.pending -= len(env.recipients) - env.next
-		c.releaseEnvelope(env)
-		c.queues[p][i] = nil
-	}
-	c.queues[p] = c.queues[p][:0]
-	for i, s := range c.active {
-		if s == int(p) {
-			c.active[i] = c.active[len(c.active)-1]
-			c.active = c.active[:len(c.active)-1]
+	// envelopes (and their messages) for the rest of the run. The head
+	// envelope's undelivered count is its lane's; the rest are whole.
+	for i, l := range c.lanes {
+		if l.sender == int(p) {
+			c.pending -= len(l.recips)
+			last := len(c.lanes) - 1
+			c.lanes[i] = c.lanes[last]
+			c.lanes[last] = lane{}
+			c.lanes = c.lanes[:last]
 			break
 		}
 	}
+	q := c.queues[p]
+	for i, env := range q {
+		if i > 0 {
+			c.pending -= len(env.recipients)
+		}
+		c.releaseEnvelope(env)
+		q[i] = nil
+	}
+	c.queues[p] = q[:0]
 }
 
 // Crashed returns the set of fail-stopped processes.
@@ -254,6 +277,7 @@ func (c *Cluster) Recover(p proc.ID) error {
 	}
 	c.crashed = c.crashed.Without(p)
 	c.crashedFlag[p] = false
+	c.curID[p] = c.cur[p].ID
 	return nil
 }
 
@@ -267,7 +291,7 @@ func (c *Cluster) IssueViews(r *rng.Source, views ...view.View) {
 		// Deliver the view to members in random order: the relative
 		// timing of view callbacks is not part of the model.
 		members = v.Members.AppendMembers(members[:0])
-		r.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+		rng.ShuffleSlice(r, members)
 		for _, p := range members {
 			if c.crashedFlag[p] {
 				continue
@@ -318,12 +342,10 @@ func (c *Cluster) Collect(r *rng.Source) int {
 			}
 			recipients = recipients[:len(base)]
 			copy(recipients, base)
-			r.Shuffle(len(recipients), func(i, j int) {
-				recipients[i], recipients[j] = recipients[j], recipients[i]
-			})
+			rng.ShuffleSlice(r, recipients)
 			env.recipients = recipients
 			if len(c.queues[p]) == 0 {
-				c.active = append(c.active, p)
+				c.lanes = append(c.lanes, lane{recips: recipients, viewID: v.ID, msg: m, sender: p})
 			}
 			c.queues[p] = append(c.queues[p], env)
 			added += len(recipients)
@@ -339,7 +361,7 @@ func (c *Cluster) Collect(r *rng.Source) int {
 // are unique, so an ID match guarantees identical membership. The
 // returned slice is owned by the cache; callers must copy before
 // reordering it.
-func (c *Cluster) recipientsOf(v view.View, sender proc.ID) []proc.ID {
+func (c *Cluster) recipientsOf(v view.View, sender proc.ID) []int32 {
 	s := int(sender)
 	if c.recipView[s] == v.ID {
 		return c.recipBase[s]
@@ -347,7 +369,7 @@ func (c *Cluster) recipientsOf(v view.View, sender proc.ID) []proc.ID {
 	buf := c.recipBase[s][:0]
 	v.Members.ForEach(func(q proc.ID) {
 		if q != sender {
-			buf = append(buf, q)
+			buf = append(buf, int32(q))
 		}
 	})
 	c.recipBase[s] = buf
@@ -367,7 +389,6 @@ func (c *Cluster) newEnvelope() *envelope {
 		env := c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
-		env.next = 0
 		return env
 	}
 	if chunk := c.envUsed / envChunkSize; chunk == len(c.envChunks) {
@@ -375,7 +396,6 @@ func (c *Cluster) newEnvelope() *envelope {
 	}
 	env := &c.envChunks[c.envUsed/envChunkSize][c.envUsed%envChunkSize]
 	c.envUsed++
-	env.next = 0
 	return env
 }
 
@@ -383,13 +403,13 @@ func (c *Cluster) newEnvelope() *envelope {
 // Full blocks are simply abandoned to the envelopes already holding
 // slices into them; envelope recycling keeps each envelope's carved
 // slice across runs, so the carve rate falls to zero at steady state.
-func (c *Cluster) carveIDs(n int) []proc.ID {
+func (c *Cluster) carveIDs(n int) []int32 {
 	if len(c.idBlocks)+n > cap(c.idBlocks) {
 		size := 4096
 		if size < n {
 			size = n
 		}
-		c.idBlocks = make([]proc.ID, 0, size)
+		c.idBlocks = make([]int32, 0, size)
 	}
 	s := len(c.idBlocks)
 	c.idBlocks = c.idBlocks[:s+n]
@@ -407,31 +427,21 @@ func (c *Cluster) releaseEnvelope(env *envelope) {
 // recipient) pairs.
 func (c *Cluster) PendingDeliveries() int { return c.pending }
 
-// DeliverOne performs a single delivery step: it picks a uniformly
-// random sender with pending traffic and delivers that sender's next
-// (message, recipient) pair, preserving per-sender FIFO order. The
-// delivery is dropped — silently consumed — if the recipient has moved
-// to a different view than the one the message was sent in
-// (view-synchronous semantics: a process that detaches before
-// receiving a message never receives it). It returns false if nothing
-// was pending.
-func (c *Cluster) DeliverOne(r *rng.Source) bool {
-	if c.pending == 0 {
-		return false
-	}
-	c.DeliverBatch(r, 1)
-	return true
-}
-
-// DeliverBatch performs up to n single delivery steps in one call —
-// the strike-free stretch between two connectivity changes, delivered
-// with the per-step bookkeeping (trace/drop/metrics nil checks, slice
-// header loads) hoisted out of the loop. Each step is identical to a
-// DeliverOne call: same rng draw, same FIFO pop, same drop rules, in
-// the same order, so a run built from batches is bit-identical to one
-// built from single steps; the driver relies on this to keep the
-// golden streams stable while the checker contract (changes may land
-// between any two deliveries) caps each batch at the next strike.
+// DeliverBatch performs up to n delivery steps, fewer only when fewer
+// are pending. A step picks a uniformly random sender with pending
+// traffic and delivers that sender's next (message, recipient) pair,
+// preserving per-sender FIFO order. The delivery is dropped — silently
+// consumed — if the recipient has crashed or moved to a different view
+// than the one the message was sent in (view-synchronous semantics: a
+// process that detaches before receiving a message never receives it).
+//
+// A batch is the strike-free stretch between two connectivity changes:
+// every step makes the same rng draw, FIFO pop and drop decision as a
+// batch of one would, in the same order, so a run built from batches is
+// bit-identical to one built from single steps whatever the batch
+// sizes. The driver relies on this to keep the golden streams stable
+// while the checker contract (changes may land between any two
+// deliveries) caps each batch at the next strike.
 func (c *Cluster) DeliverBatch(r *rng.Source, n int) {
 	if n > c.pending {
 		n = c.pending
@@ -440,73 +450,81 @@ func (c *Cluster) DeliverBatch(r *rng.Source, n int) {
 		return
 	}
 	c.pending -= n
-	active := c.active
+	lanes := c.lanes
 	queues := c.queues
 	curID := c.curID
-	crashed := c.crashedFlag
 	algs := c.algs
 	drop := c.Drop
 	tracing := c.Trace != nil
 	var delivered, dropped int64
+	ai := r.Intn(len(lanes))
+	next := lanes[ai].recips[0]
 	for ; n > 0; n-- {
-		ai := r.Intn(len(active))
-		sender := active[ai]
-		q := queues[sender]
-		env := q[0]
-
-		to := env.recipients[env.next]
-		env.next++
-
-		done := env.done()
-		if done {
+		to := next
+		l := &lanes[ai]
+		sender, viewID, msg := l.sender, l.viewID, l.msg
+		l.recips = l.recips[1:]
+		if len(l.recips) == 0 {
+			// The head envelope is finished: recycle it, then load the
+			// next one into the lane or retire the lane.
+			q := queues[sender]
+			c.releaseEnvelope(q[0])
 			copy(q, q[1:])
 			q[len(q)-1] = nil
 			q = q[:len(q)-1]
 			queues[sender] = q
-			if len(q) == 0 {
-				active[ai] = active[len(active)-1]
-				active = active[:len(active)-1]
+			if len(q) > 0 {
+				l.recips, l.viewID, l.msg = q[0].recipients, q[0].viewID, q[0].msg
+			} else {
+				last := len(lanes) - 1
+				lanes[ai] = lanes[last]
+				lanes[last] = lane{} // the vacated slot must not pin msg
+				lanes = lanes[:last]
 			}
+		}
+		// Draw the next step's lane and load its recipient before this
+		// step's handler runs, so that load's cache miss overlaps the
+		// handler. Handlers and drop filters cannot reach the cluster or
+		// r, so the draws are the same in number and order.
+		if n > 1 {
+			ai = r.Intn(len(lanes))
+			next = lanes[ai].recips[0]
 		}
 
 		switch {
-		case crashed[to]:
-			// Dropped: recipient is gone.
+		case curID[to] != viewID:
+			// Dropped: the recipient left the view (view-synchronous
+			// semantics) or crashed (curID -1).
 			dropped++
 			if tracing {
-				c.traceDelivery(trace.KindDrop, sender, to, env, "crashed")
+				why := "view changed"
+				if c.crashedFlag[to] {
+					why = "crashed"
+				}
+				c.traceDelivery(trace.KindDrop, sender, to, msg, why)
 			}
-		case curID[to] != env.viewID:
-			// Dropped: recipient left the view (view-synchronous semantics).
-			dropped++
-			if tracing {
-				c.traceDelivery(trace.KindDrop, sender, to, env, "view changed")
-			}
-		case drop != nil && drop(proc.ID(sender), to, env.msg):
+		case drop != nil && drop(proc.ID(sender), proc.ID(to), msg):
 			// Dropped by the test's filter.
 			dropped++
 			if tracing {
-				c.traceDelivery(trace.KindDrop, sender, to, env, "filtered")
+				c.traceDelivery(trace.KindDrop, sender, to, msg, "filtered")
 			}
 		default:
-			algs[to].Deliver(proc.ID(sender), env.msg)
+			algs[to].Deliver(proc.ID(sender), msg)
 			delivered++
 			if tracing {
-				c.traceDelivery(trace.KindDeliver, sender, to, env, "")
+				c.traceDelivery(trace.KindDeliver, sender, to, msg, "")
 			}
 		}
-		if done {
-			c.releaseEnvelope(env)
-		}
 	}
-	c.active = active
+	c.lanes = lanes
 	c.Metrics.observeDeliveries(delivered, dropped)
 }
 
 // traceDelivery records one delivery step, or passes it over when the
 // 1-in-N sampler says so. Callers have checked c.Trace; why is a
 // static string, so nothing here allocates.
-func (c *Cluster) traceDelivery(kind trace.Kind, sender int, to proc.ID, env *envelope, why string) {
+func (c *Cluster) traceDelivery(kind trace.Kind, sender int, to int32, msg core.Message, why string) {
 	if c.TraceSampleEvery > 1 {
 		if c.traceSkip == 0 {
 			c.traceSkip = c.TraceSampleEvery
@@ -516,7 +534,7 @@ func (c *Cluster) traceDelivery(kind trace.Kind, sender int, to proc.ID, env *en
 			return
 		}
 	}
-	c.Trace.Record(trace.Event{Kind: kind, Process: to, From: proc.ID(sender), Detail: env.msg.Kind(), Reason: why})
+	c.Trace.Record(trace.Event{Kind: kind, Process: proc.ID(to), From: proc.ID(sender), Detail: msg.Kind(), Reason: why})
 }
 
 // DeliverAll drains every pending delivery in randomized order.

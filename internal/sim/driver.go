@@ -247,7 +247,7 @@ func (d *Driver) Run() (RunResult, error) {
 		}
 		// Deliver in strike-free stretches: each batch runs up to the
 		// next change position, then the change lands — the same
-		// single-delivery granularity as a DeliverOne-per-step loop
+		// single-delivery granularity as a loop of one-step batches
 		// (bit-identical rng consumption), minus the per-step strike
 		// scan. A stretch never undershoots a strike: step+pending only
 		// grows (Collect at strikes), so pending ≥ strikes[next]-step.

@@ -4,7 +4,10 @@
 # `benchmark -workload WORKLOAD`, one run of each side per pair, the
 # side that goes first alternating from pair to pair. It prints every
 # run's four end-to-end metrics from the result line, then per metric
-# the two medians and in how many pairs each side was better.
+# each side's quartiles and median, in how many pairs each side was
+# better, and whether the gain-claim rule holds for the tree: it won at
+# least nine tenths of the pairs and its median is further from the
+# base's than the base's interquartile distance.
 #
 #   make bench-pairs BASE=HEAD~ W=soak_farm_64 N=10
 #
@@ -61,19 +64,32 @@ while [ "$i" -le "$n" ]; do
 done
 
 awk -v names="$metrics" '
-function median(a, k,    i, j, t) {
+# quart returns quartile i (1..3) of the k sorted values a[1..k] by
+# Python statistics.quantiles(n=4), the estimator the benchmark prints
+# its spreads with; quartile 2 is the median.
+function quart(a, k, i,    m, j, d) {
+	if (k == 1)
+		return a[1]
+	m = k + 1
+	j = int(i * m / 4)
+	if (j < 1) j = 1
+	if (j > k - 1) j = k - 1
+	d = i * m - j * 4
+	return (a[j] * (4 - d) + a[j + 1] * d) / 4
+}
+function isort(a, k,    i, j, t) {
 	for (i = 2; i <= k; i++)
 		for (j = i; j > 1 && a[j - 1] > a[j]; j--) {
 			t = a[j]; a[j] = a[j - 1]; a[j - 1] = t
 		}
-	return k % 2 ? a[(k + 1) / 2] : (a[k / 2] + a[k / 2 + 1]) / 2
 }
+function abs(x) { return x < 0 ? -x : x }
 { for (m = 1; m <= 4; m++) v[$1, $2, m] = $(m + 2) + 0; if ($1 + 0 > pairs) pairs = $1 + 0 }
 END {
 	split(names, name, " ")
 	# setup_s and wait_p50_us are better lower, the other two higher.
 	lower[1] = 1; lower[3] = 1
-	printf "\n%-14s %14s %14s %12s %12s\n", "metric", "base median", "tree median", "tree better", "base better"
+	printf "\n%-14s %-34s %-34s %11s %11s  %s\n", "metric", "base q1 / median / q3", "tree q1 / median / q3", "tree better", "base better", "claim"
 	for (m = 1; m <= 4; m++) {
 		tw = bw = 0
 		for (p = 1; p <= pairs; p++) {
@@ -81,6 +97,13 @@ END {
 			if (lower[m] ? t[p] < b[p] : t[p] > b[p]) tw++
 			if (lower[m] ? b[p] < t[p] : b[p] > t[p]) bw++
 		}
-		printf "%-14s %14.6g %14.6g %9d/%-2d %9d/%-2d\n", name[m], median(b, pairs), median(t, pairs), tw, pairs, bw, pairs
+		isort(b, pairs); isort(t, pairs)
+		bq1 = quart(b, pairs, 1); bmed = quart(b, pairs, 2); bq3 = quart(b, pairs, 3)
+		tq1 = quart(t, pairs, 1); tmed = quart(t, pairs, 2); tq3 = quart(t, pairs, 3)
+		claim = (10 * tw >= 9 * pairs && abs(tmed - bmed) > bq3 - bq1) ? "holds" : "no"
+		printf "%-14s %-34s %-34s %8d/%-2d %8d/%-2d  %s\n", name[m],
+			sprintf("%.4g / %.4g / %.4g", bq1, bmed, bq3),
+			sprintf("%.4g / %.4g / %.4g", tq1, tmed, tq3), tw, pairs, bw, pairs, claim
 	}
+	print "claim holds: the tree won >= 9/10 of the pairs and |tree median - base median| > base q3 - q1"
 }' "$tmp/results"
