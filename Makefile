@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test test-race bench bench-json bench-compare alloc-guard race-reset set-model soak-short soak-large soak-bench bench-pairs failover-bench fd-pause loadgen-smoke loadgen-c1k farm-smoke
+.PHONY: check fmt vet build test test-race bench bench-json bench-compare alloc-guard race-reset set-model soak-short soak-large soak-bench bench-pairs failover-bench fd-pause gcs-stress loadgen-smoke loadgen-c1k farm-smoke
 
 # Sequence number for committed benchmark reports (BENCH_<n>.json).
 BENCH_N ?= 10
@@ -141,6 +141,12 @@ fd-pause:
 		echo "fd-pause: writes failed across a local pause"; rm -f $$out $(FD_PAUSE_BIN); exit 1; \
 	fi; \
 	rm -f $$out $(FD_PAUSE_BIN)
+
+# gcs-stress repeats the TCP transport's socket tests and the failure
+# detector's virtual-time tests ten times under the race detector: the
+# socket tests race real goroutines, and one pass can miss a schedule.
+gcs-stress:
+	$(GO) test -race -count=10 -run 'TestTCP|TestHeartbeat|Detector' ./internal/gcs/
 
 # loadgen-smoke boots a 3-node replicated store over real TCP sockets,
 # drives it with concurrent clients, injects a partition mid-run and

@@ -48,36 +48,12 @@ type TCPConfig struct {
 // A Block list simulates network partitions for demos and tests
 // without touching the operating system.
 //
-// The failure detector belongs to heartbeatLoop: it alone computes the
-// reachable set and publishes it. Loss is a timeout (no frame for
-// FailAfter) and is only ever noticed on the HeartbeatEvery tick.
-// Recovery is evidence: a reader that stamps a frame from an unblocked
-// peer outside the reachable set kicks the loop into an immediate
-// beat, whose heartbeat is the echo that lets the peer do the same, so
-// two processes that can talk again agree on it in one round trip
-// after the first frame crosses. Nothing else kicks — not Send, not a
-// frame from a peer already reachable, and deliberately not Block: a
-// real network does not announce a heal. That first frame is a probe:
-// while a configured peer is outside its reachable set, a process
-// sends that peer (and no other) a heartbeat probesPerBeat times per
-// HeartbeatEvery, so a heal is found a fraction of a tick after it
-// happens, whatever the phase of anybody's tick. A probe publishes
-// nothing and convicts nobody, and with every peer reachable none is
-// sent: steady-state traffic is one heartbeat per peer per tick.
-//
-// Silence is measured on the detector's own clock. Each look notes
-// when it happened; when the next one comes later than HeartbeatEvery
-// after it — the process was stopped, starved of CPU, or stuck on its
-// own lock — the excess is time this process was absent, not evidence
-// about anyone else, and every peer's last-heard stamp is credited
-// with it. A process resumed after more than FailAfter therefore keeps
-// its reachable set if its peers kept sending. A peer that is really
-// dead is still convicted, FailAfter of the detector's observed
-// running time after its last frame; and the other processes, whose
-// clocks kept running, still convict the one that paused. Resumed, it
-// has nothing to publish; the peers that take it back do, and Node's
-// followers then tell a leader missing from their view where they are
-// (Node.onReachability), so a paused leader learns it has to lead.
+// Every reachability decision is the detector's; heartbeatLoop steps it
+// on one timer and one wake channel, which only a reader that heard a
+// suspected peer and SetPeers signal — not Send, and deliberately not
+// Block: a real network does not announce a heal. A process resumed
+// from a pause publishes nothing; Node.onReachability is how a paused
+// leader learns it has to lead.
 type TCPTransport struct {
 	cfg      TCPConfig
 	listener net.Listener
@@ -89,28 +65,19 @@ type TCPTransport struct {
 	// Set only before peers are registered (writers snapshot it).
 	dialFn func(network, addr string, timeout time.Duration) (net.Conn, error)
 
-	mu        sync.Mutex
-	peers     map[proc.ID]string
-	conns     map[proc.ID]*peerConn
-	accepted  map[net.Conn]struct{}
-	lastHB    map[proc.ID]time.Time
-	blocked   proc.Set
-	reach     proc.Set
-	published bool
-	lastLook  time.Time // when refreshReachability last ran
-	closed    bool
+	mu       sync.Mutex
+	peers    map[proc.ID]string
+	conns    map[proc.ID]*peerConn
+	accepted map[net.Conn]struct{}
+	det      *detector
+	closed   bool
 
 	// bufPool recycles Send's frame-body copies between the callers
 	// and the writer goroutines; a channel free list stays warm under
 	// GC pressure, unlike sync.Pool.
 	bufPool chan []byte
 
-	// kick wakes heartbeatLoop between ticks; readers send on it
-	// without blocking, so pending kicks coalesce into one beat.
-	kick chan struct{}
-	// peersSet wakes heartbeatLoop to look at the peer table again:
-	// SetPeers may have added peers to probe.
-	peersSet chan struct{}
+	wake     chan struct{} // see wakeLoop
 	stop     chan struct{}
 	done     chan struct{} // heartbeat loop exit
 	writerWG sync.WaitGroup
@@ -138,12 +105,6 @@ const (
 	redialMin      = 10 * time.Millisecond
 	redialMax      = 300 * time.Millisecond
 )
-
-// probesPerBeat is how many probes a suspected peer is sent per
-// HeartbeatEvery. A probe is one 8-byte frame and suspects are few, so
-// the price of finding a healed link within an eighth of a tick is
-// small; a dead peer's probes mostly die in its writer's back-off.
-const probesPerBeat = 8
 
 // NewTCPTransport starts listening on cfg.Addrs[cfg.ID] and begins
 // heartbeating all peers.
@@ -175,19 +136,13 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 		peers:    make(map[proc.ID]string, len(cfg.Addrs)),
 		conns:    make(map[proc.ID]*peerConn),
 		accepted: make(map[net.Conn]struct{}),
-		lastHB:   make(map[proc.ID]time.Time),
-		reach:    proc.NewSet(cfg.ID),
+		det:      newDetector(cfg.ID, cfg.HeartbeatEvery, cfg.FailAfter, time.Now()),
 		bufPool:  make(chan []byte, 1024),
-		kick:     make(chan struct{}, 1),
-		peersSet: make(chan struct{}, 1),
+		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	for id, a := range cfg.Addrs {
-		if id != cfg.ID {
-			t.peers[id] = a
-		}
-	}
+	t.SetPeers(cfg.Addrs)
 	go t.acceptLoop()
 	go t.heartbeatLoop()
 	return t, nil
@@ -201,12 +156,10 @@ func (t *TCPTransport) SetPeers(addrs map[proc.ID]string) {
 	for id, a := range addrs {
 		if id != t.cfg.ID {
 			t.peers[id] = a
+			t.det.peers.Add(id)
 		}
 	}
-	select {
-	case t.peersSet <- struct{}{}:
-	default:
-	}
+	t.wakeLoop() // new peers are suspects, to be probed from now on
 }
 
 // Addr returns the transport's bound listen address.
@@ -240,7 +193,7 @@ func (t *TCPTransport) releaseBuf(b []byte) {
 // UDP into a dead link.
 func (t *TCPTransport) Send(to proc.ID, data []byte) error {
 	t.mu.Lock()
-	if t.blocked.Contains(to) || t.closed {
+	if t.det.blocked.Contains(to) || t.closed {
 		t.mu.Unlock()
 		return nil
 	}
@@ -306,7 +259,7 @@ func (t *TCPTransport) Close() error {
 // heal, gets through and is echoed.
 func (t *TCPTransport) Block(peers ...proc.ID) {
 	t.mu.Lock()
-	t.blocked = proc.NewSet(peers...)
+	t.det.blocked = proc.NewSet(peers...)
 	t.mu.Unlock()
 }
 
@@ -531,12 +484,10 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		hbs      []hbMark // reused; almost always one sender per conn
 	)
 	// flush applies one drain cycle's batched effects: wire counters
-	// and heartbeat freshness, one mutex acquisition for the lot. The
-	// block list is re-checked under the lock so a peer blocked
-	// mid-drain cannot resurrect its heartbeat. A sender heard from
-	// outside the reachable set is news the failure detector should
-	// not sit on until its next tick: kick it, and let that peer's
-	// writer redial at once.
+	// and the detector's stamps, one mutex acquisition for the lot. The
+	// detector re-checks the block list, so a peer blocked mid-drain
+	// cannot resurrect its heartbeat; a stamp it calls news wakes the
+	// loop and lets that peer's writer redial at once.
 	flush := func() {
 		if bytesIn != 0 {
 			t.m.bytesIn.Add(bytesIn)
@@ -546,15 +497,10 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		if len(hbs) == 0 {
 			return
 		}
-		recovered := false
 		t.mu.Lock()
 		for _, hb := range hbs {
-			if t.blocked.Contains(hb.from) {
-				continue
-			}
-			t.lastHB[hb.from] = hb.at
-			if !t.reach.Contains(hb.from) {
-				recovered = true
+			if t.det.heard(hb.from, hb.at) {
+				t.wakeLoop()
 				if pc := t.conns[hb.from]; pc != nil {
 					pc.heard.Store(true)
 				}
@@ -562,12 +508,6 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		}
 		t.mu.Unlock()
 		hbs = hbs[:0]
-		if recovered {
-			select {
-			case t.kick <- struct{}{}:
-			default:
-			}
-		}
 	}
 	defer flush()
 
@@ -643,152 +583,50 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 func (t *TCPTransport) blockedSnapshot() proc.Set {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.blocked
+	return t.det.blocked
 }
 
-// heartbeatLoop is the failure detector: one beat per tick, and one
-// per kick from a reader that heard a peer outside the reachable set.
-// A kicked beat is the same beat — its heartbeat is the echo the
-// recovered peer needs to learn the link works both ways, and the
-// exchange ends by itself because after the refresh that peer is
-// inside the reachable set and its frames kick nothing.
-//
-// While some configured peer is outside the reachable set a second,
-// faster ticker runs and each of its ticks sends those peers a probe.
-// With everyone reachable it is stopped, so the loop then wakes, and
-// sends, exactly as often as its HeartbeatEvery ticker says.
+// heartbeatLoop runs the detector on the wall clock: one step at each
+// deadline it returns, and one whenever a reader or SetPeers wakes the
+// loop. Enqueueing a heartbeat never blocks, and dialing dead peers
+// happens on their writer goroutines, so one unreachable peer cannot eat
+// the heartbeat budget of the healthy ones.
 func (t *TCPTransport) heartbeatLoop() {
 	defer close(t.done)
-	ticker := time.NewTicker(t.cfg.HeartbeatEvery)
-	defer ticker.Stop()
-	probeEvery := t.cfg.HeartbeatEvery / probesPerBeat
-	probes := time.NewTicker(probeEvery)
-	defer probes.Stop()
-	probing := true
+	timer := time.NewTimer(0)
+	defer timer.Stop()
 	for {
-		if suspects := t.suspects(); suspects != probing {
-			if probing = suspects; probing {
-				probes.Reset(probeEvery)
-			} else {
-				probes.Stop()
-			}
-		}
 		select {
 		case <-t.stop:
 			return
-		case <-ticker.C:
-			t.beat()
-		case <-t.kick:
-			t.beat()
-		case <-probes.C:
-			t.heartbeat(true)
-		case <-t.peersSet:
+		case <-timer.C:
+		case <-t.wake: // a fire this raced stays in timer.C: one idle step
 		}
-	}
-}
-
-// suspects reports whether some configured peer is outside the
-// reachable set.
-func (t *TCPTransport) suspects() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for id := range t.peers {
-		if !t.reach.Contains(id) {
-			return true
-		}
-	}
-	return false
-}
-
-// beat sends one heartbeat to every unblocked peer, then recomputes
-// reachability.
-func (t *TCPTransport) beat() {
-	t.heartbeat(false)
-	t.refreshReachability()
-}
-
-// heartbeat enqueues one heartbeat per unblocked peer or, as a probe,
-// per unblocked peer outside the reachable set. A probe is only that
-// frame: it refreshes nothing here, and whether the peer is back is
-// for the peer's echo to say. Enqueueing is non-blocking, and dialing
-// dead peers happens on their writer goroutines — one unreachable peer
-// can no longer eat the heartbeat budget of the healthy ones, and a
-// probe into a redial back-off is dropped there, not dialled.
-func (t *TCPTransport) heartbeat(probe bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	for id := range t.peers {
-		if t.blocked.Contains(id) || probe && t.reach.Contains(id) {
-			continue
-		}
-		pc := t.peerConnLocked(id)
-		if pc == nil {
-			continue
-		}
-		select {
-		case pc.queue <- nil:
-		default:
-			t.m.sendqDrops.Inc()
-		}
-	}
-}
-
-// refreshReachability recomputes the reachable set from heartbeat
-// freshness and publishes it if it changed. This is the detector's
-// look: the time since the previous one, beyond the HeartbeatEvery the
-// ticker allows between two, is time this process did not run, and
-// every stamp is moved forward by it before silence is measured.
-// Moving the stamps, rather than skipping conviction for one look
-// after a long gap, needs no threshold for "long": a pause of any
-// length is credited exactly, and a dead peer's conviction is put off
-// by the pause and nothing more.
-func (t *TCPTransport) refreshReachability() {
-	reach := proc.NewSet(t.cfg.ID)
-	t.mu.Lock()
-	// Taken under the lock, so that a stall on it counts as well.
-	now := time.Now()
-	var credit time.Duration
-	if !t.lastLook.IsZero() {
-		credit = now.Sub(t.lastLook) - t.cfg.HeartbeatEvery
-	}
-	t.lastLook = now
-	for id, last := range t.lastHB {
-		if credit > 0 {
-			// Not past now: a frame stamped since the process resumed
-			// would otherwise buy its sender the whole pause as grace.
-			if last = last.Add(credit); last.After(now) {
-				last = now
-			}
-			t.lastHB[id] = last
-		}
-		if !t.blocked.Contains(id) && now.Sub(last) <= t.cfg.FailAfter {
-			reach = reach.With(id)
-		}
-	}
-	// The first reading always publishes, even when it equals the
-	// optimistic initial value: a node that starts inside a partition
-	// would otherwise never learn that its assumed-connected initial
-	// view is fiction — no "change" ever fires.
-	changed := !t.published || !reach.Equal(t.reach)
-	t.published = true
-	t.reach = reach
-	t.mu.Unlock()
-	if !changed {
-		return
-	}
-	for {
-		select {
-		case t.fd <- reach:
-			return
-		default:
-			select {
-			case <-t.fd:
-			default:
+		t.mu.Lock()
+		// Read under the lock, so that a stall on it counts as a pause.
+		to, reach, publish, next := t.det.step(time.Now())
+		for _, id := range to {
+			if pc := t.peerConnLocked(id); pc != nil {
+				select {
+				case pc.queue <- nil:
+				default:
+					t.m.sendqDrops.Inc()
+				}
 			}
 		}
+		t.mu.Unlock()
+		if publish {
+			publishLatest(t.fd, reach)
+		}
+		timer.Reset(time.Until(next))
+	}
+}
+
+// wakeLoop makes heartbeatLoop step now; pending wakes coalesce.
+func (t *TCPTransport) wakeLoop() {
+	select {
+	case t.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -797,5 +635,5 @@ func (t *TCPTransport) refreshReachability() {
 func (t *TCPTransport) Reach() proc.Set {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.reach
+	return t.det.reach
 }

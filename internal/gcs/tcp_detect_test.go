@@ -1,9 +1,11 @@
 package gcs
 
-// White-box tests for the failure detector. The quiet transports beat
-// once an hour and so never probe either: whatever the tests built on
-// them observe was caused by a frame, never by a tick. The probe and
-// pause tests further down pick their own period.
+// The failure detector on real sockets: what the readers, writers and
+// the loop add to the machine that detector_test.go runs in virtual
+// time. The quiet transports beat once an hour and so never probe
+// either: whatever the tests built on them observe was caused by a
+// frame, never by a tick. The probe and pause tests further down pick
+// their own period.
 
 import (
 	"errors"
@@ -181,6 +183,34 @@ func TestTCPFrameClearsRedialBackoff(t *testing.T) {
 	}
 }
 
+// TestTCPUnknownSenderNotReachable: a frame from an id that is no
+// configured peer is delivered, and is evidence of nothing: it is not
+// stamped, kicks no beat, and its id never enters the published set.
+func TestTCPUnknownSenderNotReachable(t *testing.T) {
+	_, b := quietPair(t)
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// All in one write, so one drain: a detector that stamped 7 would
+	// publish it beside 0 at the beat that 0's frame kicks.
+	frames := append(rawWireFrame(7, nil), rawWireFrame(7, []byte("stranger"))...)
+	if _, err := conn.Write(append(frames, rawWireFrame(0, []byte("peer"))...)); err != nil {
+		t.Fatal(err)
+	}
+	awaitFrame(t, b, "stranger")
+	awaitFrame(t, b, "peer")
+	select {
+	case r := <-b.Reachability():
+		if want := proc.NewSet(0, 1); !r.Equal(want) {
+			t.Errorf("b published %v, want %v", r, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("b never published the configured peer that spoke")
+	}
+}
+
 // TestTCPBlockedPeerNeitherKicksNorReaches: a frame from a blocked
 // peer is not evidence of anything.
 func TestTCPBlockedPeerNeitherKicksNorReaches(t *testing.T) {
@@ -247,8 +277,7 @@ func nothingPublished(t *testing.T, tr *TCPTransport, when string) {
 }
 
 // TestTCPProbeFindsHealWithinTick: with a tick a second apart, a healed
-// link is found by a probe, an eighth of a tick apart, and while the
-// partition lasts the probes publish nothing.
+// link is found by a probe, an eighth of a tick apart.
 func TestTCPProbeFindsHealWithinTick(t *testing.T) {
 	const every = time.Second
 	const probeEvery = every / probesPerBeat
@@ -270,17 +299,6 @@ func TestTCPProbeFindsHealWithinTick(t *testing.T) {
 	awaitReach(t, b, alone(b))
 	lost := time.Now()
 
-	// Probes go out (and are dropped) all through the partition; they
-	// must not look like news to anyone.
-	time.Sleep(3 * probeEvery)
-	nothingPublished(t, a, "during the partition")
-	nothingPublished(t, b, "during the partition")
-	for _, tr := range []*TCPTransport{a, b} {
-		if r := tr.Reach(); !r.Equal(alone(tr)) {
-			t.Errorf("transport %v: reach %v during the partition", tr.cfg.ID, r)
-		}
-	}
-
 	a.Block()
 	b.Block()
 	healed := time.Now()
@@ -295,64 +313,6 @@ func TestTCPProbeFindsHealWithinTick(t *testing.T) {
 	}
 	if sinceLoss := time.Since(lost); sinceLoss >= every {
 		t.Fatalf("test ran %v past the loss: a tick may have found the heal", sinceLoss)
-	}
-}
-
-// TestTCPProbeCadenceAndSteadyState: a suspected peer is sent frames at
-// the probe cadence, a reachable one next to it at the tick cadence,
-// and once nobody is suspected the ticks are all that is left.
-func TestTCPProbeCadenceAndSteadyState(t *testing.T) {
-	const (
-		every  = 160 * time.Millisecond
-		ticks  = 3
-		window = ticks * every
-	)
-	a := beatingTransport(t, 0, every)
-	b := beatingTransport(t, 1, every)
-	c := beatingTransport(t, 2, every)
-	// c ignores a and never answers it, so a suspects c for as long as
-	// c says; frames_in at b and c is a's frames_out split by peer.
-	c.Block(0)
-	a.SetPeers(map[proc.ID]string{1: b.Addr(), 2: c.Addr()})
-	b.SetPeers(map[proc.ID]string{0: a.Addr()})
-	c.SetPeers(map[proc.ID]string{0: a.Addr()})
-	waitFor(t, "a and b to reach each other", func() bool {
-		return a.Reach().Contains(1) && b.Reach().Contains(0)
-	})
-	waitFor(t, "a's probes to reach c", func() bool { return c.m.framesIn.Value() > 0 })
-	time.Sleep(every / 4) // let the set-up's echo exchange finish
-
-	// in counts the frames b and c receive over one window, and how
-	// many ticks the window can have held: it is as long as the sleep
-	// turned out, not as long as it was asked to be.
-	in := func() (toB, toC, maxTicks int64) {
-		b0, c0, t0 := b.m.framesIn.Value(), c.m.framesIn.Value(), time.Now()
-		time.Sleep(window)
-		return b.m.framesIn.Value() - b0, c.m.framesIn.Value() - c0, int64(time.Since(t0)/every) + 1
-	}
-	toB, toC, maxTicks := in()
-	if toB > maxTicks {
-		t.Errorf("reachable peer got %d frames while another was suspected, want <= %d", toB, maxTicks)
-	}
-	// Probes and ticks both: a late timer drops firings, never adds.
-	if lo, hi := int64(ticks*probesPerBeat/2), maxTicks*(probesPerBeat+1); toC < lo || toC > hi {
-		t.Errorf("suspected peer got %d frames, want %d..%d (%d probes per tick)", toC, lo, hi, probesPerBeat)
-	}
-	if a.Reach().Contains(2) {
-		t.Fatalf("a reaches %v: c was not suspected after all", a.Reach())
-	}
-
-	c.Block()
-	waitFor(t, "a and c to reach each other", func() bool {
-		return a.Reach().Contains(2) && c.Reach().Contains(0)
-	})
-	time.Sleep(every / 4)
-	toB, toC, maxTicks = in()
-	if toB > maxTicks || toC > maxTicks {
-		t.Errorf("with everyone reachable b got %d and c got %d frames, want <= %d each", toB, toC, maxTicks)
-	}
-	if toB == 0 || toC == 0 {
-		t.Errorf("with everyone reachable b got %d and c got %d frames: the tick stopped", toB, toC)
 	}
 }
 

@@ -1,9 +1,14 @@
 // Package gcs is a live group communication substrate — the
 // repository's stand-in for Transis (thesis Chapter 2). It provides
-// the two services every primary component algorithm needs: reliable
-// FIFO broadcast within a view, and view change notifications. The
-// same core.Algorithm implementations that run in the simulator run
+// the two services every primary component algorithm needs: broadcast
+// within a view, and view change notifications. The same
+// core.Algorithm implementations that run in the simulator run
 // unchanged on a gcs.Node, over an in-memory network or over TCP.
+//
+// The broadcast is FIFO, not reliable: frames from one sender arrive in
+// order over one connection, may be dropped at a full send queue, on
+// inbox overflow or in redial back-off, and are never retransmitted.
+// Reliable delivery within a view is ROADMAP item 4.
 //
 // Membership is deliberately simple (the thesis delegates it to
 // Transis): within each connected component, the lexically smallest
@@ -109,7 +114,7 @@ func (mn *MemNetwork) SetComponents(comps ...proc.Set) error {
 			continue
 		}
 		mn.reach[id] = c
-		mn.nodes[id].notifyFD(c)
+		publishLatest(mn.nodes[id].fd, c)
 	}
 	return nil
 }
@@ -146,8 +151,6 @@ type MemTransport struct {
 	net    *MemNetwork
 	frames chan Frame
 	fd     chan proc.Set
-
-	closeOnce sync.Once
 }
 
 var _ Transport = (*MemTransport)(nil)
@@ -166,21 +169,18 @@ func (t *MemTransport) Reachability() <-chan proc.Set { return t.fd }
 
 // Close implements Transport. The network keeps routing to other
 // nodes; this endpoint simply stops being readable.
-func (t *MemTransport) Close() error {
-	t.closeOnce.Do(func() {})
-	return nil
-}
+func (t *MemTransport) Close() error { return nil }
 
-// notifyFD publishes the latest reachable set, replacing any unread
-// previous value (latest-wins semantics).
-func (t *MemTransport) notifyFD(reach proc.Set) {
+// publishLatest puts reach on a capacity-1 failure-detector channel,
+// replacing any unread previous value (latest-wins semantics).
+func publishLatest(fd chan proc.Set, reach proc.Set) {
 	for {
 		select {
-		case t.fd <- reach:
+		case fd <- reach:
 			return
 		default:
 			select {
-			case <-t.fd: // discard the stale unread value
+			case <-fd: // discard the stale unread value
 			default:
 			}
 		}
