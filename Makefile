@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test test-race bench bench-json bench-compare alloc-guard race-reset set-model soak-short soak-large soak-bench bench-pairs failover-bench fd-pause gcs-stress loadgen-smoke loadgen-c1k farm-smoke
+.PHONY: check fmt vet build test test-race bench bench-json bench-compare alloc-guard race-reset set-model soak-short soak-large soak-bench bench-pairs failover-bench burst-trace fd-pause gcs-stress loadgen-smoke loadgen-c1k farm-smoke
 
 # Sequence number for committed benchmark reports (BENCH_<n>.json).
 BENCH_N ?= 10
@@ -119,6 +119,15 @@ bench-pairs:
 # observability" quotes.
 failover-bench:
 	$(GO) run ./benchmark -workload live_failover -trace 1
+
+# burst-trace runs the write burst with the per-layer trace on: it is
+# the one command that reads how many TCP frames each write costs
+# (gcs.tcp_frames_per_op), how many of them the send queues dropped
+# (gcs.tcp_sendq_drops), how many replicas each write reached
+# (gcs.app_payloads_per_op, 3.00 when all of them did) and how many
+# keys a replica ended up missing (register.lost_write_keys).
+burst-trace:
+	$(GO) run ./benchmark -workload live_write_burst -trace 1
 
 # fd-pause stops the whole live_write_burst process for 0.3 s (twice
 # FailAfter) two times inside its measurement window, which opens some

@@ -144,7 +144,7 @@ type Piggyback struct {
 	alg   Algorithm
 	codec Codec
 	// w is the reused encode buffer: one bundle per Outgoing call, in
-	// place. Outgoing is the per-message hot path of a live node, so
+	// place. Outgoing runs on every send wake of a live node, so
 	// re-allocating the writer (and growing it from empty) per call
 	// would dominate the send side.
 	w wire.Writer
@@ -156,7 +156,7 @@ func NewPiggyback(alg Algorithm, codec Codec) *Piggyback {
 }
 
 // ViewChanged forwards a connectivity report to the algorithm. The
-// application should call Outgoing(nil) afterwards and broadcast the
+// application should call Outgoing() afterwards and broadcast the
 // result, giving the algorithm a chance to speak.
 func (pb *Piggyback) ViewChanged(v view.View) { pb.alg.ViewChange(v) }
 
@@ -166,17 +166,24 @@ func (pb *Piggyback) InPrimary() bool { return pb.alg.InPrimary() }
 // Algorithm returns the wrapped algorithm.
 func (pb *Piggyback) Algorithm() Algorithm { return pb.alg }
 
-// Outgoing bundles the algorithm's pending broadcasts with an optional
-// application payload. It returns (nil, false) when there is nothing
-// to send at all — no algorithm traffic and no application payload.
-// This is the thesis's outgoingMessagePoll.
+// Outgoing bundles the algorithm's pending broadcasts with any number
+// of application payloads, which the receiver gets back in order. It
+// returns (nil, false) when there is nothing to send at all — no
+// algorithm traffic and no application payload. This is the thesis's
+// outgoingMessagePoll, taking a batch of application messages rather
+// than one.
+//
+// The payload section is Uvarint(len(apps)) followed by each payload
+// length-prefixed, so a bundle with zero or one payload is the same
+// bytes as the earlier Bool(hasApp) encoding; an empty payload is still
+// a payload.
 //
 // The returned bundle aliases a buffer owned by the Piggyback and is
 // only valid until the next Outgoing call; callers that need to keep
 // it (or send it asynchronously) must copy.
-func (pb *Piggyback) Outgoing(app []byte) ([]byte, bool, error) {
+func (pb *Piggyback) Outgoing(apps ...[]byte) ([]byte, bool, error) {
 	msgs := pb.alg.Poll()
-	if len(msgs) == 0 && app == nil {
+	if len(msgs) == 0 && len(apps) == 0 {
 		return nil, false, nil
 	}
 	pb.w.Reset()
@@ -188,44 +195,47 @@ func (pb *Piggyback) Outgoing(app []byte) ([]byte, bool, error) {
 		}
 		pb.w.RawBytes(b)
 	}
-	if app != nil {
-		pb.w.Bool(true)
+	pb.w.Uvarint(uint64(len(apps)))
+	for _, app := range apps {
 		pb.w.RawBytes(app)
-	} else {
-		pb.w.Bool(false)
 	}
 	return pb.w.Bytes(), true, nil
 }
 
 // Incoming unbundles a payload produced by Outgoing: algorithm
-// messages are delivered to the wrapped algorithm, and the application
-// payload (nil if there was none) is returned — the application never
-// sees the algorithm's extra information. This is the thesis's
-// incomingMessage.
-func (pb *Piggyback) Incoming(from proc.ID, data []byte) ([]byte, error) {
+// messages are delivered to the wrapped algorithm, and each application
+// payload is handed to deliver in order, as a copy the caller may keep
+// — the application never sees the algorithm's extra information. The
+// payloads are all-or-nothing: a bundle whose payload section does not
+// parse delivers none of them. This is the thesis's incomingMessage.
+func (pb *Piggyback) Incoming(from proc.ID, data []byte, deliver func(app []byte)) error {
 	r := wire.NewReader(data)
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("piggyback header: %w", err)
+		return fmt.Errorf("piggyback header: %w", err)
 	}
 	for i := uint64(0); i < n; i++ {
 		raw := r.RawBytes()
 		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("piggyback message %d: %w", i, err)
+			return fmt.Errorf("piggyback message %d: %w", i, err)
 		}
 		m, err := pb.codec.Decode(raw)
 		if err != nil {
-			return nil, fmt.Errorf("piggyback decode %d: %w", i, err)
+			return fmt.Errorf("piggyback decode %d: %w", i, err)
 		}
 		pb.alg.Deliver(from, m)
 	}
-	hasApp := r.Bool()
-	var app []byte
-	if hasApp {
-		app = r.RawBytes()
+	apps := data[len(data)-r.Remaining():]
+	k := r.Uvarint()
+	for i := uint64(0); i < k && r.Err() == nil; i++ {
+		r.RawBytesRef()
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("piggyback payload: %w", err)
+		return fmt.Errorf("piggyback payload: %w", err)
 	}
-	return app, nil
+	r = wire.NewReader(apps)
+	for i := r.Uvarint(); i > 0; i-- {
+		deliver(r.RawBytes())
+	}
+	return nil
 }

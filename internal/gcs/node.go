@@ -80,6 +80,10 @@ type Node struct {
 	sends chan []byte
 	m     nodeMetrics
 
+	// apps is the loop's reused batch of payloads drained from sends
+	// for one bundle (see sendQueued).
+	apps [][]byte
+
 	mu        sync.Mutex // guards the snapshot fields below
 	curView   view.View
 	inPrimary bool
@@ -186,7 +190,9 @@ func (n *Node) CurrentView() view.View {
 }
 
 // Broadcast queues an application payload for delivery to the current
-// view, riding the same frames as the algorithm's traffic.
+// view, riding the same frames as the algorithm's traffic. It returns
+// once the payload is queued; payloads queued while the loop is busy
+// leave together, in order, in one bundle.
 func (n *Node) Broadcast(payload []byte) error {
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
@@ -210,7 +216,7 @@ func (n *Node) loop() {
 		case f := <-n.cfg.Transport.Frames():
 			n.onFrame(f)
 		case payload := <-n.sends:
-			n.flush(payload)
+			n.sendQueued(payload)
 		}
 	}
 }
@@ -312,7 +318,7 @@ func (n *Node) onFrame(f Frame) {
 		switch {
 		case viewID == cur:
 			n.deliverBundle(f)
-			n.flush(nil)
+			n.flush()
 		case viewID > cur:
 			// The sender installed a newer view before we did; hold
 			// the bundle until the leader's announcement arrives.
@@ -343,15 +349,14 @@ func (n *Node) deliverBundle(f Frame) {
 	_ = r.Byte()   // kind
 	_ = r.Varint() // view id
 	rest := f.Data[len(f.Data)-r.Remaining():]
-	app, err := n.pb.Incoming(f.From, rest)
+	err := n.pb.Incoming(f.From, rest, func(app []byte) {
+		n.m.appPayloads.Inc()
+		n.emit(Event{Kind: EventApp, From: f.From, Payload: app})
+	})
 	if err != nil {
 		return // corrupt frame; drop
 	}
 	n.m.bundlesIn.Inc()
-	if app != nil {
-		n.m.appPayloads.Inc()
-		n.emit(Event{Kind: EventApp, From: f.From, Payload: app})
-	}
 }
 
 // installView delivers the view to the algorithm and flushes whatever
@@ -363,7 +368,7 @@ func (n *Node) installView(v view.View) {
 	n.mu.Unlock()
 	n.pb.ViewChanged(v)
 	n.emit(Event{Kind: EventView, View: v})
-	n.flush(nil)
+	n.flush()
 
 	if v.ID > n.maxSeenViewID {
 		n.maxSeenViewID = v.ID
@@ -382,17 +387,43 @@ func (n *Node) installView(v view.View) {
 			break // a replayed frame moved us to yet another view
 		}
 		n.deliverBundle(f)
-		n.flush(nil)
+		n.flush()
 	}
 }
 
-// flush bundles pending algorithm messages (and an optional
-// application payload) and broadcasts them to the current view — the
-// thesis's outgoingMessagePoll discipline: poll after every new piece
-// of information.
-func (n *Node) flush(appPayload []byte) {
+// sendQueued sends payload and every payload already queued behind
+// it, in queue order, as one bundle: one poll of the algorithm and one
+// frame per peer for the whole batch, not one per Broadcast. Each
+// bundle is a run of sends cases the loop could have picked back to
+// back, so FIFO order per sender and view-synchronous delivery are
+// unchanged. A bundle stops short of flushBufCap payload bytes, the
+// transport's own coalescing bound, and the payload that would cross
+// it opens the next one; a larger payload travels alone.
+func (n *Node) sendQueued(payload []byte) {
+	apps, size := append(n.apps, payload), len(payload)
+	// Only this goroutine receives from sends, so the len(n.sends)
+	// payloads queued now are there to take without blocking.
+	for k := len(n.sends); k > 0; k-- {
+		p := <-n.sends
+		if size+len(p) > flushBufCap {
+			n.flush(apps...)
+			apps, size = apps[:0], 0
+		}
+		apps, size = append(apps, p), size+len(p)
+	}
+	n.flush(apps...)
+	// Drop the references so delivered payloads are not kept alive.
+	clear(apps[:cap(apps)])
+	n.apps = apps[:0]
+}
+
+// flush bundles pending algorithm messages (and any application
+// payloads) and broadcasts them to the current view — the thesis's
+// outgoingMessagePoll discipline: poll after every new piece of
+// information.
+func (n *Node) flush(apps ...[]byte) {
 	v := n.CurrentView()
-	data, send, err := n.pb.Outgoing(appPayload)
+	data, send, err := n.pb.Outgoing(apps...)
 	if err != nil || !send {
 		n.checkPrimary()
 		return
@@ -402,9 +433,9 @@ func (n *Node) flush(appPayload []byte) {
 	w.Varint(v.ID)
 	bundle := append(w.Bytes(), data...)
 	n.broadcastRaw(v.Members, bundle)
-	if appPayload != nil {
-		// Group multicast delivers to the sender too.
-		n.emit(Event{Kind: EventApp, From: n.cfg.ID, Payload: appPayload})
+	// Group multicast delivers to the sender too.
+	for _, app := range apps {
+		n.emit(Event{Kind: EventApp, From: n.cfg.ID, Payload: app})
 	}
 	n.checkPrimary()
 }
