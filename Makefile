@@ -179,11 +179,14 @@ loadgen-c1k:
 # TCP and merging the chains back — the merge is bit-identical to a
 # local run by construction, and any protocol or requeue race trips
 # the detector in all four processes.
+# The binary goes to $TMPDIR (default /tmp) and is removed whether the
+# run passes or fails.
+FARM_SMOKE_BIN := $(or $(TMPDIR),/tmp)/quorumcheck-farm-smoke
 farm-smoke:
-	$(GO) build -race -o /tmp/quorumcheck-farm-smoke ./cmd/quorumcheck
-	/tmp/quorumcheck-farm-smoke -changes 1500 -procs 24 -chains 6 -progress 0 \
-		-farm-listen 127.0.0.1:0 -farm-workers 3
-	rm -f /tmp/quorumcheck-farm-smoke
+	$(GO) build -race -o $(FARM_SMOKE_BIN) ./cmd/quorumcheck
+	$(FARM_SMOKE_BIN) -changes 1500 -procs 24 -chains 6 -progress 0 \
+		-farm-listen 127.0.0.1:0 -farm-workers 3; \
+	status=$$?; rm -f $(FARM_SMOKE_BIN); exit $$status
 
 # soak-large is the safety campaign at the kilo-process scale under
 # the race detector: 1024 processes, one algorithm, checker on. The

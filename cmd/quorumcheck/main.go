@@ -118,31 +118,34 @@ func run(args []string) error {
 		AlgorithmDone: func(a campaign.AlgorithmResult) { passedLine(rep, a, *chains) },
 	}
 
+	var (
+		tool = "quorumcheck"
+		res  *campaign.Result
+		used int // workers, for the report
+		err  error
+	)
 	if *farmListen != "" {
-		return farmCoordinatorMain(rep, cfg, farmOptions{
-			listen:    *farmListen,
-			spawn:     *farmWorkers,
-			capacity:  *workers,
-			straggler: *farmStraggler,
-			every:     *every,
-			jsonOut:   *jsonOut,
+		tool = "quorumcheck-farm"
+		res, used, err = farmCoordinatorMain(rep, cfg, *farmListen, *farmStraggler, *farmWorkers, *workers)
+		if res == nil {
+			return err
+		}
+	} else {
+		// SIGINT drains the local campaign gracefully: in-flight chains
+		// finish their current run, the merged partial report is marked
+		// aborted.
+		cfg.Abort = new(atomic.Bool)
+		stopSignals := onInterrupt(func() {
+			rep.Printf("interrupt: draining — finishing in-flight chains")
+			cfg.Abort.Store(true)
 		})
+		defer stopSignals()
+		res, err = campaign.Run(cfg)
+		used = experiment.Parallelism()
 	}
 
-	// SIGINT drains the local campaign gracefully: in-flight chains
-	// finish their current run, the merged partial report is marked
-	// aborted.
-	cfg.Abort = new(atomic.Bool)
-	stopSignals := onInterrupt(func() {
-		rep.Printf("interrupt: draining — finishing in-flight chains")
-		cfg.Abort.Store(true)
-	})
-	defer stopSignals()
-
-	res, err := campaign.Run(cfg)
-
 	if *jsonOut != "" {
-		report := campaign.NewReport("quorumcheck", cfg, res, experiment.Parallelism(), err)
+		report := campaign.NewReport(tool, cfg, res, used, err)
 		if werr := report.WriteFile(*jsonOut); werr != nil {
 			if err == nil {
 				return werr
@@ -157,6 +160,8 @@ func run(args []string) error {
 		fmt.Println("\nABORTED: campaign drained early; the report covers the completed prefix only.")
 		return nil
 	}
+	// Per-algorithm PASSED lines already printed via cfg.AlgorithmDone,
+	// which the farm coordinator fires exactly like a local campaign.
 	fmt.Println("\nALL CLEAR: no inconsistency, ever — at most one primary component at all times.")
 	return nil
 }
@@ -194,43 +199,30 @@ func farmWorkerMain(addr string, capacity int) error {
 	return w.Serve()
 }
 
-type farmOptions struct {
-	listen    string
-	spawn     int
-	capacity  int
-	straggler time.Duration
-	every     time.Duration
-	jsonOut   string
-}
-
-// farmCoordinatorMain is the `-farm-listen` mode: own the work queue
-// and the merge, optionally spawning local worker processes, and
-// produce the same report a local run would.
-func farmCoordinatorMain(rep *campaign.Reporter, cfg campaign.Config, opt farmOptions) error {
-	// Per-chain progress happens on the workers (whose output is not
-	// ours); the coordinator reports farm-level progress instead.
-	cfg.Progress = nil
-	cfg.ProgressEvery = 0
-
+// farmCoordinatorMain is the `-farm-listen` mode: dispatch the
+// campaign's chains, optionally to spawn local worker processes of
+// the given capacity, and return the merged result with the peak
+// worker count. A nil result means the farm never started.
+func farmCoordinatorMain(rep *campaign.Reporter, cfg campaign.Config, listen string, straggler time.Duration,
+	spawn, capacity int) (*campaign.Result, int, error) {
 	c, err := farm.NewCoordinator(farm.CoordinatorConfig{
 		Campaign:       cfg,
-		Listen:         opt.listen,
-		StragglerAfter: opt.straggler,
-		ProgressEvery:  opt.every,
+		Listen:         listen,
+		StragglerAfter: straggler,
 		Progress: func(u farm.Update) {
 			rep.Printf("%-16s %4d/%d chains merged, %d requeued, %d workers (%.0fs)",
 				"farm", u.Done, u.Total, u.Requeued, u.Workers, u.Elapsed.Seconds())
 		},
 	})
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	rep.Printf("farm coordinator listening on %s", c.Addr())
 
-	procs, err := spawnLocalWorkers(opt.spawn, c.Addr(), opt.capacity)
+	procs, err := spawnLocalWorkers(spawn, c.Addr(), capacity)
 	if err != nil {
 		c.Close()
-		return err
+		return nil, 0, err
 	}
 
 	stopSignals := onInterrupt(func() {
@@ -249,27 +241,7 @@ func farmCoordinatorMain(rep *campaign.Reporter, cfg campaign.Config, opt farmOp
 			fmt.Fprintln(os.Stderr, "quorumcheck: worker process:", werr)
 		}
 	}
-
-	if opt.jsonOut != "" {
-		report := campaign.NewReport("quorumcheck-farm", cfg, res, peak, ferr)
-		if werr := report.WriteFile(opt.jsonOut); werr != nil {
-			if ferr == nil {
-				return werr
-			}
-			fmt.Fprintln(os.Stderr, "quorumcheck:", werr)
-		}
-	}
-	if ferr != nil {
-		return ferr
-	}
-	if res.Aborted {
-		fmt.Println("\nABORTED: farm drained early; the report covers the completed prefix only.")
-		return nil
-	}
-	// Per-algorithm PASSED lines already printed via cfg.AlgorithmDone,
-	// which the coordinator fires exactly like a local campaign.
-	fmt.Println("\nALL CLEAR: no inconsistency, ever — at most one primary component at all times.")
-	return nil
+	return res, peak, ferr
 }
 
 // spawnLocalWorkers launches n copies of this binary in -farm-join

@@ -21,8 +21,6 @@ package campaign
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,7 +61,7 @@ type Config struct {
 	// chain per interval; 0 disables progress entirely.
 	ProgressEvery time.Duration
 	// Progress, when non-nil, receives per-chain progress updates. The
-	// engine serializes all hook invocations, so a Progress/
+	// Merge serializes all hook invocations, so a Progress/
 	// AlgorithmDone pair never runs concurrently with another.
 	Progress func(ProgressUpdate)
 	// AlgorithmDone, when non-nil, fires as soon as the last chain of
@@ -91,14 +89,13 @@ func (c Config) withDefaults() Config {
 
 // ProgressUpdate is one chain's progress snapshot.
 type ProgressUpdate struct {
-	Algorithm      string
-	Chain, Chains  int // Chain is 0-based
-	Injected       int // changes injected by this chain so far
-	Budget         int // this chain's change budget
-	Runs, Formed   int
-	Assertions     int64
-	Elapsed        time.Duration // since this chain started
-	AlgorithmStart time.Time     // when the algorithm's first chain started
+	Algorithm     string
+	Chain, Chains int // Chain is 0-based
+	Injected      int // changes injected by this chain so far
+	Budget        int // this chain's change budget
+	Runs, Formed  int
+	Assertions    int64
+	Elapsed       time.Duration // since this chain started
 }
 
 // ChainStats is one chain's contribution to the campaign. Changes,
@@ -128,7 +125,8 @@ type AlgorithmResult struct {
 	Formed     int
 	Assertions int64
 	// Elapsed is the wall time from the algorithm's first chain
-	// starting to its last chain finishing (not deterministic).
+	// starting to its last chain finishing, 0 when some chain never
+	// finished (not deterministic).
 	Elapsed time.Duration
 }
 
@@ -223,79 +221,19 @@ var errReplayDiverged = fmt.Errorf("campaign: traced replay diverged from the un
 // order, nil when every chain passed. A violation in any chain aborts
 // the whole campaign: running chains stop at their next run boundary.
 func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	algs := len(cfg.Factories)
-	jobs := algs * cfg.Chains
-
-	stats := make([]ChainStats, jobs)
-	errs := make([]error, jobs)
+	m := NewMerge(cfg)
+	cfg = m.Config()
 	var abort atomic.Bool
-	var hookMu sync.Mutex
-
-	// Per-algorithm completion bookkeeping: the worker finishing an
-	// algorithm's last chain emits its merged result.
-	chainsDone := make([]atomic.Int32, algs)
-	algStart := make([]atomic.Int64, algs) // first chain start, UnixNano; 0 = not started
-
-	start := time.Now()
-	experiment.ParallelWorkers(jobs, func(_, job int) {
-		alg, chain := job/cfg.Chains, job%cfg.Chains
-		f := cfg.Factories[alg]
-		algStart[alg].CompareAndSwap(0, time.Now().UnixNano())
-
-		errs[job] = runChain(&cfg, f, chain, &stats[job], &abort, &hookMu,
-			time.Unix(0, algStart[alg].Load()))
-		if errs[job] != nil && errs[job] != ErrAborted {
+	experiment.ParallelWorkers(m.Jobs(), func(_, job int) {
+		m.Start(job)
+		var stat ChainStats
+		err := runChain(&cfg, cfg.Factories[job/cfg.Chains], job%cfg.Chains, &stat, &abort, m)
+		if err != nil && err != ErrAborted {
 			abort.Store(true)
 		}
-
-		if chainsDone[alg].Add(1) == int32(cfg.Chains) && cfg.AlgorithmDone != nil {
-			lo, hi := alg*cfg.Chains, (alg+1)*cfg.Chains
-			res := AssembleAlgorithm(f.Name, stats[lo:hi])
-			res.Elapsed = time.Since(time.Unix(0, algStart[alg].Load()))
-			if !slices.ContainsFunc(errs[lo:hi], func(err error) bool { return err != nil }) {
-				hookMu.Lock()
-				cfg.AlgorithmDone(res)
-				hookMu.Unlock()
-			}
-		}
+		m.Add(job, stat, err)
 	})
-
-	return AssembleResult(cfg, stats, errs, time.Since(start))
-}
-
-// AssembleResult merges per-job chain statistics and errors into a
-// campaign Result exactly as Run does: job index = alg*Chains+chain,
-// algorithms merged in chain order, violations collected in
-// (algorithm, chain) order, the first violation returned as the error.
-// The farm coordinator feeds remotely executed chains through this
-// same merge, which is what makes a farmed campaign's merged report
-// bit-identical to a local run's at any worker count.
-func AssembleResult(cfg Config, stats []ChainStats, errs []error, elapsed time.Duration) (*Result, error) {
-	cfg = cfg.withDefaults()
-	res := &Result{Elapsed: elapsed, Aborted: cfg.Abort != nil && cfg.Abort.Load()}
-	for alg := 0; alg < len(cfg.Factories); alg++ {
-		a := AssembleAlgorithm(cfg.Factories[alg].Name, stats[alg*cfg.Chains:(alg+1)*cfg.Chains])
-		if a.Runs > 0 {
-			a.Elapsed = elapsed // upper bound; refined by AlgorithmDone consumers
-		}
-		res.Algorithms = append(res.Algorithms, a)
-	}
-	var first error
-	for _, err := range errs {
-		if err == nil || err == ErrAborted {
-			continue
-		}
-		ce, ok := err.(*ChainError)
-		if !ok {
-			ce = &ChainError{Err: err, Chains: cfg.Chains}
-		}
-		res.Violations = append(res.Violations, ce)
-		if first == nil {
-			first = err
-		}
-	}
-	return res, first
+	return m.Result(cfg.Abort != nil && cfg.Abort.Load())
 }
 
 // RunChain executes a single (algorithm, chain) cell of the campaign
@@ -310,22 +248,8 @@ func AssembleResult(cfg Config, stats []ChainStats, errs []error, elapsed time.D
 func RunChain(cfg Config, alg, chain int, abort *atomic.Bool) (ChainStats, error) {
 	cfg = cfg.withDefaults()
 	var stat ChainStats
-	err := runChain(&cfg, cfg.Factories[alg], chain, &stat, abort, nil, time.Now())
+	err := runChain(&cfg, cfg.Factories[alg], chain, &stat, abort, nil)
 	return stat, err
-}
-
-// AssembleAlgorithm folds one algorithm's chain stats in chain order —
-// the merge Run applies per algorithm, exported so the farm
-// coordinator's AlgorithmDone hook carries the identical shape.
-func AssembleAlgorithm(name string, chains []ChainStats) AlgorithmResult {
-	res := AlgorithmResult{Algorithm: name, Chains: append([]ChainStats(nil), chains...)}
-	for _, c := range chains {
-		res.Changes += c.Changes
-		res.Runs += c.Runs
-		res.Formed += c.Formed
-		res.Assertions += c.Assertions
-	}
-	return res
 }
 
 // runChain walks a chain untraced. When it fails and TraceRetain is set,
@@ -333,13 +257,13 @@ func AssembleAlgorithm(name string, chains []ChainStats) AlgorithmResult {
 // with the ring attached; stat keeps the untraced walk's counts, and
 // a replay that does not fail the same way is reported as a divergence.
 func runChain(cfg *Config, f core.Factory, chain int, stat *ChainStats,
-	abort *atomic.Bool, hookMu *sync.Mutex, algStart time.Time) error {
-	err := walkChain(cfg, f, chain, stat, abort, hookMu, algStart, false)
+	abort *atomic.Bool, m *Merge) error {
+	err := walkChain(cfg, f, chain, stat, abort, m, false)
 	first, failed := err.(*ChainError)
 	if !failed || cfg.TraceRetain <= 0 {
 		return err
 	}
-	err = walkChain(cfg, f, chain, new(ChainStats), nil, nil, algStart, true)
+	err = walkChain(cfg, f, chain, new(ChainStats), nil, nil, true)
 	if replay, ok := err.(*ChainError); ok && replay.Changes == first.Changes && checkerText(replay.Err) == first.Err.Error() {
 		return replay
 	}
@@ -357,11 +281,11 @@ func checkerText(err error) string {
 
 // walkChain executes one cascading chain to its budget: heal, run a
 // segment of changes, repeat — the §2.2 loop — with the checker on
-// after every message round. Progress fires only with a hookMu to
+// after every message round. Progress fires only with a Merge to
 // serialize it. A traced walk attaches the ring and ignores both abort
 // flags: it replays a failure that has already happened.
 func walkChain(cfg *Config, f core.Factory, chain int, stat *ChainStats,
-	abort *atomic.Bool, hookMu *sync.Mutex, algStart time.Time, traced bool) error {
+	abort *atomic.Bool, m *Merge, traced bool) error {
 	budget := chainBudget(cfg.Changes, cfg.Chains, chain)
 	stat.Algorithm, stat.Chain = f.Name, chain
 
@@ -401,14 +325,12 @@ func walkChain(cfg *Config, f core.Factory, chain int, stat *ChainStats,
 		if res.PrimaryFormed {
 			stat.Formed++
 		}
-		if hookMu != nil && cfg.Progress != nil && cfg.ProgressEvery > 0 && time.Since(lastReport) >= cfg.ProgressEvery {
+		if m != nil && cfg.Progress != nil && cfg.ProgressEvery > 0 && time.Since(lastReport) >= cfg.ProgressEvery {
 			lastReport = time.Now()
 			u := ProgressUpdate{Algorithm: f.Name, Chain: chain, Chains: cfg.Chains,
 				Injected: stat.Changes, Budget: budget, Runs: stat.Runs, Formed: stat.Formed,
-				Assertions: stat.Assertions, Elapsed: time.Since(start), AlgorithmStart: algStart}
-			hookMu.Lock()
-			cfg.Progress(u)
-			hookMu.Unlock()
+				Assertions: stat.Assertions, Elapsed: time.Since(start)}
+			m.Locked(func(int) { cfg.Progress(u) })
 		}
 	}
 	return nil

@@ -143,6 +143,9 @@ func TestNaiveViolationAbortsCampaign(t *testing.T) {
 			Seed:        29,
 			Chains:      4,
 			TraceRetain: 512,
+			AlgorithmDone: func(a AlgorithmResult) {
+				t.Errorf("workers=%d: AlgorithmDone fired for %s despite its violation", workers, a.Algorithm)
+			},
 		}
 		res, err := Run(cfg)
 		if err == nil {

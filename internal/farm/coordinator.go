@@ -16,23 +16,21 @@ import (
 
 // CoordinatorConfig assembles a Coordinator.
 type CoordinatorConfig struct {
-	// Campaign is the campaign to farm out. Progress and AlgorithmDone
-	// hooks fire on the coordinator (serialized); Abort, when set,
-	// drains the farm like SIGINT does.
+	// Campaign is the campaign to farm out. Its AlgorithmDone hook
+	// fires on the coordinator, under the coordinator's lock, and its
+	// ProgressEvery throttles Progress below. Its Progress and Abort are
+	// never read: chains report progress on the workers, and Drain is
+	// the farm's drain.
 	Campaign campaign.Config
 	// Listen is the TCP listen address (e.g. "127.0.0.1:0").
 	Listen string
-	// Window is how many chains beyond its executing capacity a worker
-	// holds queued, so it never idles between chains (default 1).
-	Window int
 	// StragglerAfter re-issues a chain to an idle worker when its
 	// current holder has been running it longer than this and no fresh
 	// work remains — the tail-latency hedge. 0 disables.
 	StragglerAfter time.Duration
-	// ProgressEvery throttles Progress callbacks; 0 disables them.
-	ProgressEvery time.Duration
-	// Progress, when non-nil, receives farm-level progress updates,
-	// serialized with the campaign AlgorithmDone hook.
+	// Progress, when non-nil, receives farm-level progress updates
+	// every Campaign.ProgressEvery, serialized with the campaign's
+	// AlgorithmDone hook.
 	Progress func(Update)
 	// Metrics, when non-nil, receives the farm counters: chains
 	// dispatched/completed/requeued, connected workers, and per-worker
@@ -67,32 +65,25 @@ func newFarmMetrics(reg *metrics.Registry) farmMetrics {
 	}
 }
 
-// Coordinator owns the farmed campaign: the work queue, the per-worker
-// in-flight windows, requeue/straggler bookkeeping, and the
-// chain-ordered merge through campaign.AssembleResult.
+// Coordinator dispatches a farmed campaign: the work queue, the
+// per-worker in-flight windows, requeues and straggler hedging. Chain
+// outcomes go to a campaign.Merge, the merge campaign.Run uses too.
 type Coordinator struct {
 	cfg       CoordinatorConfig
-	camp      campaign.Config // withDefaults applied
+	merge     *campaign.Merge
+	camp      campaign.Config // merge.Config(): defaults applied
 	ln        net.Listener
 	confBody  []byte // config frame body, serialized once
 	start     time.Time
 	drainFlag atomic.Bool
 	m         farmMetrics
-	hookMu    sync.Mutex // serializes Progress/AlgorithmDone hooks
 
-	mu          sync.Mutex
-	queue       []int // pending job indices (job = alg*Chains + chain)
-	stats       []campaign.ChainStats
-	errs        []error
-	done        []bool // seen-set: at-most-once merge guard
+	mu          sync.Mutex // taken before the merge's lock, never after
+	queue       []int      // pending job indices (job = alg*Chains + chain)
 	requeued    []int
-	remaining   int
-	algsLeft    []int // undone chains per algorithm, for AlgorithmDone
-	algStart    []time.Time
 	workers     map[*coordWorker]struct{}
 	workerSeq   int
 	peakWorkers int
-	violated    bool
 	finished    bool
 
 	finishedCh chan struct{}
@@ -105,7 +96,7 @@ type coordWorker struct {
 	bw       *bufio.Writer
 	wmu      sync.Mutex // serializes frame writes (assigns, abort)
 	id       int
-	window   int // capacity + CoordinatorConfig.Window
+	window   int // capacity + 1: one chain waits while the rest run
 	draining bool
 	// outstanding maps issued-but-unmerged jobs to their issue time.
 	outstanding map[int]time.Time
@@ -115,59 +106,35 @@ type coordWorker struct {
 // NewCoordinator binds the listen address and starts accepting
 // workers. The campaign does not progress until Run is called.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	camp := cfg.Campaign
-	if len(camp.Factories) == 0 {
+	if len(cfg.Campaign.Factories) == 0 {
 		return nil, fmt.Errorf("farm: campaign has no algorithms")
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 1
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("farm: listen %s: %w", cfg.Listen, err)
 	}
 	var w wire.Writer
-	encodeConfig(&w, camp)
+	encodeConfig(&w, cfg.Campaign)
+	merge := campaign.NewMerge(cfg.Campaign)
 	c := &Coordinator{
 		cfg:        cfg,
-		camp:       withDefaults(camp),
+		merge:      merge,
+		camp:       merge.Config(),
 		ln:         ln,
 		confBody:   append([]byte(nil), w.Bytes()...),
+		start:      time.Now(),
 		m:          newFarmMetrics(cfg.Metrics),
+		queue:      make([]int, merge.Jobs()),
+		requeued:   make([]int, merge.Jobs()),
 		workers:    make(map[*coordWorker]struct{}),
 		finishedCh: make(chan struct{}),
 		acceptDone: make(chan struct{}),
 	}
-	jobs := len(c.camp.Factories) * c.camp.Chains
-	c.stats = make([]campaign.ChainStats, jobs)
-	c.errs = make([]error, jobs)
-	c.done = make([]bool, jobs)
-	c.requeued = make([]int, jobs)
-	c.remaining = jobs
-	c.queue = make([]int, jobs)
 	for i := range c.queue {
 		c.queue[i] = i
 	}
-	c.algsLeft = make([]int, len(c.camp.Factories))
-	for i := range c.algsLeft {
-		c.algsLeft[i] = c.camp.Chains
-	}
-	c.algStart = make([]time.Time, len(c.camp.Factories))
-	c.start = time.Now()
 	go c.acceptLoop()
 	return c, nil
-}
-
-// withDefaults mirrors campaign.Config's internal defaulting for the
-// fields the coordinator indexes by (Chains, Segment).
-func withDefaults(c campaign.Config) campaign.Config {
-	if c.Chains <= 0 {
-		c.Chains = 1
-	}
-	if c.Segment <= 0 {
-		c.Segment = 12
-	}
-	return c
 }
 
 // Addr returns the coordinator's bound listen address, for workers to
@@ -199,7 +166,8 @@ func (c *Coordinator) Drain() {
 func (c *Coordinator) Run() (*campaign.Result, error) {
 	var ticker *time.Ticker
 	var tick <-chan time.Time
-	interval := c.cfg.ProgressEvery
+	every := c.cfg.Campaign.ProgressEvery
+	interval := every
 	if c.cfg.StragglerAfter > 0 {
 		if half := c.cfg.StragglerAfter / 2; interval == 0 || half < interval {
 			interval = half
@@ -221,33 +189,14 @@ loop:
 			// only asks for work when a result frees its window, and a
 			// stalled tail produces no results.
 			c.fillAll()
-			if c.cfg.Progress != nil && c.cfg.ProgressEvery > 0 &&
-				time.Since(lastProgress) >= c.cfg.ProgressEvery {
+			if c.cfg.Progress != nil && every > 0 && time.Since(lastProgress) >= every {
 				lastProgress = time.Now()
 				c.emitProgress()
 			}
 		}
 	}
 	c.Close()
-
-	c.mu.Lock()
-	stats := append([]campaign.ChainStats(nil), c.stats...)
-	for i := range stats {
-		stats[i].Requeued = c.requeued[i]
-	}
-	errs := append([]error(nil), c.errs...)
-	c.mu.Unlock()
-
-	camp := c.camp
-	if c.drainFlag.Load() {
-		// AssembleResult reads Config.Abort to mark the result; wire the
-		// drain flag through so a drained farm reports Aborted like a
-		// drained local campaign.
-		ab := new(atomic.Bool)
-		ab.Store(true)
-		camp.Abort = ab
-	}
-	return campaign.AssembleResult(camp, stats, errs, time.Since(c.start))
+	return c.merge.Result(c.drainFlag.Load())
 }
 
 // Close shuts the listener and every worker connection down. Run calls
@@ -269,8 +218,7 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) emitProgress() {
 	c.mu.Lock()
 	u := Update{
-		Done:    len(c.done) - c.remaining,
-		Total:   len(c.done),
+		Total:   len(c.requeued),
 		Workers: len(c.workers),
 		Elapsed: time.Since(c.start),
 	}
@@ -278,9 +226,10 @@ func (c *Coordinator) emitProgress() {
 		u.Requeued += r
 	}
 	c.mu.Unlock()
-	c.hookMu.Lock()
-	c.cfg.Progress(u)
-	c.hookMu.Unlock()
+	c.merge.Locked(func(merged int) {
+		u.Done = merged
+		c.cfg.Progress(u)
+	})
 }
 
 func (c *Coordinator) acceptLoop() {
@@ -323,7 +272,7 @@ func (c *Coordinator) handleWorker(conn net.Conn) {
 	w := &coordWorker{
 		conn:        conn,
 		bw:          bufio.NewWriterSize(conn, 16<<10),
-		window:      capacity + c.cfg.Window,
+		window:      capacity + 1,
 		outstanding: make(map[int]time.Time),
 	}
 
@@ -391,8 +340,8 @@ func (c *Coordinator) handleWorker(conn net.Conn) {
 }
 
 // unregister removes a worker and requeues its outstanding unmerged
-// chains — the chain index is the unit of retry, and the seen-set in
-// handleResult keeps a requeued chain from ever merging twice.
+// chains — the chain index is the unit of retry, and the merge's
+// seen-set keeps a requeued chain from ever merging twice.
 func (c *Coordinator) unregister(w *coordWorker) {
 	c.mu.Lock()
 	if _, ok := c.workers[w]; !ok {
@@ -402,7 +351,7 @@ func (c *Coordinator) unregister(w *coordWorker) {
 	delete(c.workers, w)
 	requeuedAny := false
 	for job := range w.outstanding {
-		if c.done[job] {
+		if c.merge.Merged(job) {
 			continue
 		}
 		if !c.queuedLocked(job) {
@@ -430,69 +379,29 @@ func (c *Coordinator) queuedLocked(job int) bool {
 	return false
 }
 
-// handleResult merges one chain outcome: exactly once per job (the
-// seen-set guard — duplicate results from straggler re-issues are
-// dropped), violation errors reconstructed as ChainErrors, algorithm
-// completion hooks fired in the same shape as a local campaign.
+// handleResult hands one chain outcome to the merge, which keeps the
+// first result per job (a straggler's duplicate is dropped), and
+// aborts the farm on a violation.
 func (c *Coordinator) handleResult(w *coordWorker, res chainResult) {
-	c.mu.Lock()
-	job := res.alg*c.camp.Chains + res.chain
 	if res.alg < 0 || res.alg >= len(c.camp.Factories) ||
 		res.chain < 0 || res.chain >= c.camp.Chains {
-		c.mu.Unlock()
 		return // nonsense coordinates: ignore
 	}
-	delete(w.outstanding, job)
-	if c.done[job] {
-		c.mu.Unlock()
-		c.fill(w)
-		return
-	}
-	c.done[job] = true
-	c.remaining--
-	name := c.camp.Factories[res.alg].Name
-	res.stat.Algorithm = name
-	c.stats[job] = res.stat
+	job := res.alg*c.camp.Chains + res.chain
+	var err error
 	if res.errMsg != "" {
-		c.errs[job] = &campaign.ChainError{
-			Algorithm: name,
-			Chain:     res.chain,
-			Chains:    c.camp.Chains,
-			Changes:   res.stat.Changes,
-			Err:       errors.New(res.errMsg),
-		}
-		c.violated = true
+		err = errors.New(res.errMsg)
 	}
-	c.m.completed.Inc()
-	w.completed.Inc()
-
-	var algDone *campaign.AlgorithmResult
-	c.algsLeft[res.alg]--
-	if c.algsLeft[res.alg] == 0 && c.errs[job] == nil && c.camp.AlgorithmDone != nil {
-		clean := true
-		lo, hi := res.alg*c.camp.Chains, (res.alg+1)*c.camp.Chains
-		for _, err := range c.errs[lo:hi] {
-			if err != nil {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			merged := campaign.AssembleAlgorithm(name, c.stats[lo:hi])
-			merged.Elapsed = time.Since(c.algStart[res.alg])
-			algDone = &merged
-		}
+	c.mu.Lock()
+	delete(w.outstanding, job)
+	res.stat.Requeued = c.requeued[job]
+	if c.merge.Add(job, res.stat, err) {
+		c.m.completed.Inc()
+		w.completed.Inc()
 	}
-	violated := c.violated
 	c.maybeFinishLocked()
 	c.mu.Unlock()
-
-	if algDone != nil {
-		c.hookMu.Lock()
-		c.camp.AlgorithmDone(*algDone)
-		c.hookMu.Unlock()
-	}
-	if violated {
+	if err != nil {
 		c.abortWorkers()
 		return
 	}
@@ -505,7 +414,7 @@ func (c *Coordinator) maybeFinishLocked() {
 	if c.finished {
 		return
 	}
-	finish := c.remaining == 0 || c.violated
+	finish := c.merge.Done()
 	if !finish && c.drainFlag.Load() {
 		inFlight := 0
 		for w := range c.workers {
@@ -588,7 +497,7 @@ func (c *Coordinator) fill(w *coordWorker) {
 // (counted as a requeue — first result wins, the seen-set drops the
 // loser).
 func (c *Coordinator) nextJobLocked(w *coordWorker) (int, bool) {
-	if c.finished || c.violated || c.drainFlag.Load() || w.draining {
+	if c.finished || c.drainFlag.Load() || w.draining {
 		return 0, false
 	}
 	if _, ok := c.workers[w]; !ok {
@@ -600,7 +509,7 @@ func (c *Coordinator) nextJobLocked(w *coordWorker) (int, bool) {
 	if len(c.queue) > 0 {
 		job := c.queue[0]
 		c.queue = c.queue[1:]
-		if c.done[job] {
+		if c.merge.Merged(job) {
 			// Merged while queued (requeue raced a late result): skip.
 			return c.nextJobLocked(w)
 		}
@@ -617,7 +526,7 @@ func (c *Coordinator) nextJobLocked(w *coordWorker) (int, bool) {
 			continue
 		}
 		for job, at := range other.outstanding {
-			if c.done[job] || !at.Before(deadline) {
+			if c.merge.Merged(job) || !at.Before(deadline) {
 				continue
 			}
 			if _, dup := w.outstanding[job]; dup {
@@ -639,8 +548,5 @@ func (c *Coordinator) nextJobLocked(w *coordWorker) (int, bool) {
 
 func (c *Coordinator) issueLocked(w *coordWorker, job int) {
 	w.outstanding[job] = time.Now()
-	alg := job / c.camp.Chains
-	if c.algStart[alg].IsZero() {
-		c.algStart[alg] = time.Now()
-	}
+	c.merge.Start(job)
 }

@@ -2,7 +2,9 @@ package farm
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -102,10 +104,46 @@ func runFarm(t *testing.T, camp campaign.Config, ccfg CoordinatorConfig, workers
 	return res, ferr
 }
 
+// recordDone points cfg.AlgorithmDone at a log and returns a check
+// that each algorithm of a result fired it exactly once, with the
+// counts and the Elapsed the result carries for it. The check empties
+// the log for the next run.
+func recordDone(t *testing.T, cfg *campaign.Config) func(label string, res *campaign.Result) {
+	var mu sync.Mutex
+	fired := map[string][]campaign.AlgorithmResult{}
+	cfg.AlgorithmDone = func(a campaign.AlgorithmResult) {
+		mu.Lock()
+		fired[a.Algorithm] = append(fired[a.Algorithm], a)
+		mu.Unlock()
+	}
+	return func(label string, res *campaign.Result) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, a := range res.Algorithms {
+			got := fired[a.Algorithm]
+			if len(got) != 1 {
+				t.Errorf("%s: AlgorithmDone fired %d times for %s, want 1", label, len(got), a.Algorithm)
+				continue
+			}
+			if !reflect.DeepEqual(got[0], a) {
+				t.Errorf("%s: AlgorithmDone for %s differs from the result:\n hook   %+v\n result %+v",
+					label, a.Algorithm, got[0], a)
+			}
+			if a.Elapsed <= 0 || a.Elapsed > res.Elapsed {
+				t.Errorf("%s: %s Elapsed %v outside (0, campaign %v]", label, a.Algorithm, a.Elapsed, res.Elapsed)
+			}
+		}
+		clear(fired)
+	}
+}
+
 // TestFarmGoldenLoopback: the same rootSeed run locally and via
 // coordinator + {1, 3} workers over localhost TCP must produce
 // bit-identical merged fingerprints — and both must equal the pre-PR
-// golden constants.
+// golden constants. On every path AlgorithmDone fires once per
+// algorithm with what the result carries, per-algorithm Elapsed
+// included.
 func TestFarmGoldenLoopback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("farm soak in -short mode")
@@ -114,10 +152,12 @@ func TestFarmGoldenLoopback(t *testing.T) {
 	experiment.SetParallelism(2)
 
 	cfg := goldenConfig(t)
+	checkDone := recordDone(t, &cfg)
 	local, err := campaign.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDone("local", local)
 	want := fingerprint(local)
 	for i, w := range goldenWant {
 		a := local.Algorithms[i]
@@ -143,6 +183,7 @@ func TestFarmGoldenLoopback(t *testing.T) {
 		if res.Aborted {
 			t.Errorf("workers=%d: clean farm run marked aborted", n)
 		}
+		checkDone(fmt.Sprintf("workers=%d", n), res)
 	}
 }
 
@@ -219,6 +260,9 @@ func TestFarmViolationAbortsFarm(t *testing.T) {
 		Seed:        29,
 		Chains:      4,
 		TraceRetain: 512,
+		AlgorithmDone: func(a campaign.AlgorithmResult) {
+			t.Errorf("AlgorithmDone fired for %s despite its violation", a.Algorithm)
+		},
 	}
 	res, ferr := runFarm(t, cfg, CoordinatorConfig{}, []WorkerConfig{{Capacity: 2}})
 	if ferr == nil {
@@ -376,8 +420,8 @@ func TestFarmWorkersGauge(t *testing.T) {
 	if res == nil || len(res.Algorithms) == 0 {
 		t.Fatal("no merged result")
 	}
-	if v := reg.Counter("farm_chains_completed_total", "").Value(); v != int64(2*withDefaults(cfg).Chains) {
-		t.Errorf("completed counter = %d, want %d", v, 2*withDefaults(cfg).Chains)
+	if v := reg.Counter("farm_chains_completed_total", "").Value(); v != int64(2*cfg.Chains) {
+		t.Errorf("completed counter = %d, want %d", v, 2*cfg.Chains)
 	}
 	// The coordinator-side connection handlers decrement the gauge as
 	// they unwind; give them a moment after Run returns.

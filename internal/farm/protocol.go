@@ -1,13 +1,14 @@
 // Package farm distributes a soak campaign across worker processes
-// over TCP: a coordinator owns the work queue of (algorithm, chain)
-// cells and the chain-ordered merge, workers execute chains and stream
-// back per-chain reports. Chains are seeded purely from
+// over TCP: a coordinator dispatches (algorithm, chain) cells from a
+// work queue and hands each outcome to campaign.Merge, the merge a
+// local campaign.Run uses; workers execute chains and stream back
+// per-chain reports. Chains are seeded purely from
 // (rootSeed, algorithm, chainIndex) — see internal/campaign — so the
 // farmed merge is bit-identical to a local run at any worker count and
 // any completion order, which also makes the chain the natural unit of
 // retry: a lost worker's outstanding chains are simply re-issued, and
-// a seen-set guarantees each chain merges exactly once no matter how
-// many times it was dispatched.
+// the merge's seen-set guarantees each chain merges exactly once no
+// matter how many times it was dispatched.
 //
 // The wire protocol is length-prefixed frames (internal/wire's shared
 // framing) carrying wire-codec bodies whose first byte is the message

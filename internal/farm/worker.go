@@ -20,7 +20,7 @@ type WorkerConfig struct {
 	// Addr is the coordinator's address.
 	Addr string
 	// Capacity is how many chains this worker executes concurrently
-	// (default GOMAXPROCS). The coordinator keeps Capacity+window
+	// (default GOMAXPROCS). The coordinator keeps Capacity+1
 	// chains assigned so the worker never idles between chains.
 	Capacity int
 	// Metrics, when non-nil, counts chains executed by this worker.
@@ -76,7 +76,7 @@ func Join(cfg WorkerConfig) (*Worker, error) {
 		readDone:  make(chan struct{}),
 		chainsRun: cfg.Metrics.Counter("farm_worker_chains_run_total", "chains executed by this worker"),
 	}
-	// The window the coordinator maintains is capacity+window; size the
+	// The window the coordinator maintains is capacity+1; size the
 	// channels generously so the read loop never blocks on them.
 	w.assigns = make(chan assignment, 4*cfg.Capacity+16)
 	w.results = make(chan chainResult, 4*cfg.Capacity+16)
@@ -217,7 +217,7 @@ func (w *Worker) readLoop() {
 func (w *Worker) runChains() {
 	for a := range w.assigns {
 		if a.alg < 0 || a.alg >= len(w.camp.Factories) ||
-			a.chain < 0 || a.chain >= maxInt(w.camp.Chains, 1) {
+			a.chain < 0 || a.chain >= max(w.camp.Chains, 1) {
 			continue
 		}
 		stat, err := campaign.RunChain(w.camp, a.alg, a.chain, &w.abort)
@@ -270,11 +270,4 @@ func (w *Worker) writeResults() error {
 	err := w.bw.Flush()
 	w.wmu.Unlock()
 	return err
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
