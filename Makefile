@@ -66,11 +66,12 @@ bench-compare:
 
 # alloc-guard pins the allocation-free hot paths: in the simulator, the
 # steady-state collect/deliver loop (bare and with the soak's trace
-# ring attached) and the Driver.Reset lifecycle; in the trace package,
-# Record into a full ring; in the live transport, the pooled
-# Send/arena-receive wire path.
+# ring attached) and the Driver.Reset lifecycle; in ykd, a whole state
+# round after a warm-up view; in the trace package, Record into a full
+# ring; in the live transport, the pooled Send/arena-receive wire path.
 alloc-guard:
 	$(GO) test -run 'AllocFree' -count 1 ./internal/sim/
+	$(GO) test -run 'AllocFree' -count 1 ./internal/ykd/
 	$(GO) test -run 'AllocFree' -count 1 ./internal/trace/
 	$(GO) test -run 'SteadyStateAllocs' -count 1 ./internal/gcs/
 

@@ -178,6 +178,92 @@ func TestSetModelAlgebra(t *testing.T) {
 	}
 }
 
+// TestSetModelEqual checks Equal against the model, in both directions,
+// on the three shapes its fast path and word loop tell apart: sets
+// sharing their overflow words, equal words in distinct storage, and
+// sets whose first word matches while their word lists differ in
+// length.
+func TestSetModelEqual(t *testing.T) {
+	for _, maxID := range boundarySizes {
+		maxID := maxID
+		t.Run(ID(maxID).String(), func(t *testing.T) {
+			t.Parallel()
+			r := rand.New(rand.NewSource(int64(200 + maxID)))
+			check := func(a, b Set, ma, mb setModel) {
+				t.Helper()
+				want := len(ma) == len(mb)
+				for id := range ma {
+					want = want && mb[id]
+				}
+				if a.Equal(b) != want || b.Equal(a) != want {
+					t.Fatalf("Equal(%v, %v) = %v/%v, model = %v", a, b, a.Equal(b), b.Equal(a), want)
+				}
+				if want && a.Key() != b.Key() {
+					t.Fatalf("equal sets %v and %v have different keys", a, b)
+				}
+			}
+			for round := 0; round < 40; round++ {
+				var s Set
+				m := setModel{}
+				for i := r.Intn(maxID + 1); i >= 0; i-- {
+					id := ID(r.Intn(maxID + 1))
+					s.Add(id)
+					m[id] = true
+				}
+				s.Add(ID(maxID)) // the widest word list the domain has
+				m[ID(maxID)] = true
+
+				// Shared backing: a copy, and a union that adds nothing.
+				for _, shared := range []Set{s, s.Union(NewSet(s.Smallest()))} {
+					if len(s.rest) != 0 && &shared.rest[0] != &s.rest[0] {
+						t.Fatal("expected the copy to share the overflow words")
+					}
+					check(s, shared, m, m)
+				}
+
+				// Distinct backing: equal words, then one member fewer.
+				distinct := SetFromWords(s.Words())
+				if len(s.rest) != 0 && &distinct.rest[0] == &s.rest[0] {
+					t.Fatal("SetFromWords shared the overflow words")
+				}
+				check(s, distinct, m, m)
+				drop := s.Nth(r.Intn(s.Count()))
+				fewer := setModel{}
+				for id := range m {
+					if id != drop {
+						fewer[id] = true
+					}
+				}
+				check(s, distinct.Without(drop), m, fewer)
+
+				// The same first word, word lists of different lengths.
+				low, ml := Set{}, setModel{}
+				for i := r.Intn(min(maxID, 63) + 1); i > 0; i-- {
+					id := ID(r.Intn(min(maxID, 63)))
+					low.Add(id)
+					ml[id] = true
+				}
+				sets, models := []Set{low}, []setModel{ml}
+				for _, top := range []ID{ID(maxID), ID(maxID - 64), 64} {
+					if top < 63 || int(top) > maxID {
+						continue
+					}
+					mt := setModel{top: true}
+					for id := range ml {
+						mt[id] = true
+					}
+					sets, models = append(sets, low.With(top)), append(models, mt)
+				}
+				for i := range sets {
+					for j := range sets {
+						check(sets[i], sets[j], models[i], models[j])
+					}
+				}
+			}
+		})
+	}
+}
+
 // FuzzSetModel feeds arbitrary byte strings as mutation scripts: each
 // byte pair is (op, id). The fuzzer explores interleavings the random
 // tests cannot, especially around the 255/256 inline boundary where id

@@ -362,9 +362,18 @@ func (s Set) EachWhile(fn func(ID) bool) {
 	}
 }
 
-// Equal reports whether s and t have identical membership.
+// Equal reports whether s and t have identical membership. Sets that
+// share their overflow words are equal without a word compare: those
+// words are never written once published, and w mirrors their first
+// inlineWords.
 func (s Set) Equal(t Set) bool {
-	if s.w != t.w || len(s.rest) != len(t.rest) {
+	if len(s.rest) != len(t.rest) {
+		return false
+	}
+	if len(s.rest) != 0 && &s.rest[0] == &t.rest[0] {
+		return true
+	}
+	if s.w != t.w {
 		return false
 	}
 	for i, w := range s.rest {

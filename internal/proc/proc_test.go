@@ -349,6 +349,27 @@ func BenchmarkBitsAccumulate1024(b *testing.B) {
 	benchSink = n
 }
 
+// BenchmarkSetEqual prices Equal on two equal kilo-process sets: ones
+// that share their overflow words (the pointer fast path) and ones with
+// the same words in distinct storage (the full word compare).
+func BenchmarkSetEqual(b *testing.B) {
+	s := Universe(1024).Without(700)
+	for _, c := range []struct {
+		name string
+		t    Set
+	}{{"shared", s}, {"distinct", SetFromWords(s.Words())}} {
+		b.Run("procs=1024/"+c.name, func(b *testing.B) {
+			n := 0
+			for i := 0; i < b.N; i++ {
+				if s.Equal(c.t) {
+					n++
+				}
+			}
+			benchSink = n
+		})
+	}
+}
+
 // TestSmallSetOpsAllocationFree pins the inline fast path: every set
 // operation on sets of ≤64 processes must stay off the heap. This is
 // the perf contract the simulator's hot loop depends on.

@@ -1,6 +1,8 @@
 package ykd
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"dynvote/internal/proc"
@@ -63,5 +65,97 @@ func BenchmarkStateMessageEncode(b *testing.B) {
 		if _, err := (Codec{}).Encode(msgs[0]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// stateRound is one receiver and the states the other members of v
+// send it, reusable view after view: next installs the following view
+// and retags the states, deliver hands them all over.
+type stateRound struct {
+	a      *Algorithm
+	v      view.View
+	from   []proc.ID
+	states []*StateMessage
+}
+
+// newStateRound builds process 0 of a universe of n and the states of
+// v's other members, each from a fresh instance.
+func newStateRound(n int, members proc.Set) *stateRound {
+	initial := view.View{ID: 0, Members: proc.Universe(n)}
+	r := &stateRound{a: New(VariantYKD, 0, initial), v: view.View{Members: members}}
+	members.ForEach(func(q proc.ID) {
+		if q != 0 {
+			r.from = append(r.from, q)
+			r.states = append(r.states, New(VariantYKD, q, initial).snapshotState(0))
+		}
+	})
+	return r
+}
+
+func (r *stateRound) next() {
+	r.v.ID++
+	for _, st := range r.states {
+		st.ViewID = r.v.ID
+	}
+	r.a.ViewChange(r.v)
+	r.a.Poll()
+}
+
+func (r *stateRound) deliver() {
+	for i, st := range r.states {
+		r.a.Deliver(r.from[i], st)
+	}
+}
+
+// TestStateExchangeAllocFree pins the state round at zero allocations:
+// after one warm-up view, taking in a whole view's states and resolving
+// them allocates nothing. ViewChange is left out of the count (it
+// builds the outgoing StateMessage), and the view is a minority of the
+// universe, so DECIDE says no and sends no AttemptMessage.
+func TestStateExchangeAllocFree(t *testing.T) {
+	for _, n := range []int{64, 1024} {
+		t.Run(fmt.Sprintf("procs=%d", n), func(t *testing.T) {
+			r := newStateRound(n, proc.Universe(n/2-1))
+			r.next()
+			r.deliver()
+			if r.a.phase != phaseIdle || r.a.InPrimary() {
+				t.Fatal("warm-up view did not resolve to a non-primary")
+			}
+			const views = 20
+			var before, after runtime.MemStats
+			var mallocs uint64
+			for i := 0; i < views; i++ {
+				r.next()
+				runtime.ReadMemStats(&before)
+				r.deliver()
+				runtime.ReadMemStats(&after)
+				mallocs += after.Mallocs - before.Mallocs
+				if r.a.phase != phaseIdle {
+					t.Fatalf("view %d did not resolve", i)
+				}
+			}
+			if mallocs != 0 {
+				t.Errorf("state round allocated %d times over %d views, want 0", mallocs, views)
+			}
+		})
+	}
+}
+
+// BenchmarkStateExchange times one state round over the whole universe
+// (the view a run starts from) and reports ns per state delivered.
+func BenchmarkStateExchange(b *testing.B) {
+	for _, n := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {
+			r := newStateRound(n, proc.Universe(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r.next()
+				b.StartTimer()
+				r.deliver()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(r.states)), "ns/state")
+		})
 	}
 }

@@ -55,10 +55,9 @@ func (m *formedModel) form(s view.Session) {
 func form(a *Algorithm, s view.Session) {
 	a.cur = view.View{ID: s.Number, Members: s.Members}
 	a.curSize = s.Members.Count()
-	a.markMembers(a.cur)
 	a.attemptSession = s
 	a.phase = phaseAttempt
-	a.attempts.Reset(len(a.member))
+	a.attempts.Reset(int(s.Members.Max()) + 1)
 	a.attempts.AddSet(s.Members)
 	a.checkFormed()
 }

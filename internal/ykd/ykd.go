@@ -145,20 +145,21 @@ type Algorithm struct {
 	inPrimary     bool
 
 	// Per-view protocol state.
-	cur       view.View
-	curSize   int // cached v.Members.Count(); compared on every state arrival
-	phase     phase
-	states    []*StateMessage // indexed by proc.ID, reset each view
-	statesGot int
-	// member[q] mirrors cur.Members, and stateWanted[q] starts as a
-	// copy of it, cleared as q's state arrives. Both are rebuilt once
-	// per view change so the per-delivery guards are single byte probes
-	// instead of bitset lookups: stateWanted folds "is a member" and
-	// "not yet reported" into one array read. Removing them loses nine
-	// of ten pairs on fig_sweep_64, by less than the lap spread, and
-	// nothing on kilo_1024 (DESIGN.md "Ablations").
-	member         []bool
-	stateWanted    []bool
+	cur     view.View
+	curSize int // cached v.Members.Count(); compared on every attempt and flush
+	phase   phase
+	// wanted holds the members of cur whose state has not arrived, so
+	// one bit answers "member, and no state yet" and the exchange
+	// resolves when it empties. arrived lists the states in arrival
+	// order with their senders; resolveAndDecide reads them from there,
+	// and its outcome does not depend on the order. Nothing here is
+	// indexed by sender, so a delivery touches one word of wanted and
+	// the tail of arrived: at kilo-process widths a per-instance table
+	// indexed by ID misses cache on nearly every delivery. Entries past
+	// len(arrived) keep the previous view's pointers until overwritten;
+	// Reset and Restore clear them.
+	wanted         proc.Bits
+	arrived        []arrival
 	attemptSession view.Session
 	// attempts and flushes are tally accumulators: one Add per received
 	// message. proc.Bits rather than proc.Set because past InlineProcs a
@@ -197,6 +198,12 @@ type early struct {
 	s    view.Session
 }
 
+// arrival is one state message of the current view and its sender.
+type arrival struct {
+	from proc.ID
+	st   *StateMessage
+}
+
 var (
 	_ core.Algorithm         = (*Algorithm)(nil)
 	_ core.AmbiguousReporter = (*Algorithm)(nil)
@@ -211,33 +218,6 @@ func New(variant Variant, self proc.ID, initial view.View) *Algorithm {
 	a := &Algorithm{variant: variant}
 	a.Reset(self, initial)
 	return a
-}
-
-// sizeMemberTables (re)sizes member and stateWanted to n entries. Both
-// tables are carved from one backing array: instances are created per
-// process, so at kilo-process widths one allocation instead of two per
-// instance is n fewer per driver construction.
-func (a *Algorithm) sizeMemberTables(n int) {
-	if cap(a.member) >= n {
-		a.member = a.member[:n]
-		a.stateWanted = a.stateWanted[:n]
-		return
-	}
-	backing := make([]bool, 2*n)
-	a.member = backing[:n:n]
-	a.stateWanted = backing[n:]
-}
-
-// markMembers rebuilds the per-view membership byte tables.
-func (a *Algorithm) markMembers(v view.View) {
-	clear(a.member)
-	clear(a.stateWanted)
-	v.Members.ForEach(func(q proc.ID) {
-		if int(q) < len(a.member) {
-			a.member[q] = true
-			a.stateWanted[q] = true
-		}
-	})
 }
 
 // Factory returns the host-facing description of the given variant.
@@ -273,9 +253,9 @@ func (a *Algorithm) LastPrimary() view.Session { return a.lastPrimary }
 // New is a zero value plus Reset. It puts the instance in the state of
 // a process that starts in the initial view — the thesis's W, session
 // number zero, a primary — reusing whatever storage a previous life
-// left behind: the lastFormed groups, the states and member tables, the
-// ambiguous and send-queue slices, the DECIDE scratch. The variant is
-// preserved. Stale message pointers are cleared from the recycled
+// left behind: the lastFormed groups, the wanted set and arrival list,
+// the ambiguous and send-queue slices, the DECIDE scratch. The variant
+// is preserved. Stale message pointers are cleared from the recycled
 // buffers so a reset instance pins nothing from its previous life.
 func (a *Algorithm) Reset(self proc.ID, initial view.View) {
 	w := view.NewSession(0, initial)
@@ -291,15 +271,16 @@ func (a *Algorithm) Reset(self proc.ID, initial view.View) {
 
 	a.cur = initial
 	a.curSize = initial.Size()
-	if cap(a.states) < n {
-		a.states = make([]*StateMessage, n)
+	// Sized here so a view's exchange never grows them: wanted to the
+	// initial view's words, which cover every later view's, and arrived
+	// to one state per process.
+	a.wanted.Load(initial.Members)
+	if cap(a.arrived) < n {
+		a.arrived = make([]arrival, 0, n)
 	}
-	a.states = a.states[:n]
-	a.sizeMemberTables(n)
-	a.markMembers(initial)
 	a.abandonExchange()
-	a.out = clearMessages(a.out)
-	a.outSpare = clearMessages(a.outSpare)
+	a.out = truncate(a.out)
+	a.outSpare = truncate(a.outSpare)
 	a.scratch = a.scratch[:0]
 }
 
@@ -310,8 +291,7 @@ func (a *Algorithm) Reset(self proc.ID, initial view.View) {
 // callers (Reset, Restore) have just replaced that table.
 func (a *Algorithm) abandonExchange() {
 	a.phase = phaseIdle
-	clear(a.states)
-	a.statesGot = 0
+	a.arrived = truncate(a.arrived)
 	a.attemptSession = view.Session{}
 	a.earlyAttempts = a.earlyAttempts[:0]
 	a.earlyFlushes = a.earlyFlushes[:0]
@@ -319,12 +299,12 @@ func (a *Algorithm) abandonExchange() {
 	a.appliedNext = 0
 }
 
-// clearMessages truncates a send-queue buffer, dropping the message
-// pointers parked in its full backing array so they can be collected.
-func clearMessages(out []core.Message) []core.Message {
-	out = out[:cap(out)]
-	clear(out)
-	return out[:0]
+// truncate empties a reused buffer, dropping the message pointers
+// parked in its full backing array so they can be collected.
+func truncate[T any](buf []T) []T {
+	buf = buf[:cap(buf)]
+	clear(buf)
+	return buf[:0]
 }
 
 // ViewChange starts the two-round protocol in the new view: any
@@ -335,13 +315,10 @@ func (a *Algorithm) ViewChange(v view.View) {
 	a.curSize = v.Size()
 	a.inPrimary = false
 	a.phase = phaseExchange
-	clear(a.states)
-	a.statesGot = 0
-	a.attempts.Reset(len(a.member))
-	// flushes is reset lazily by checkFormed when DFLS actually enters
-	// its flush round; other variants never touch it, so resetting it
-	// here would cost every non-DFLS instance its backing words.
-	a.markMembers(v)
+	// attempts and flushes are reset when their rounds begin: decide
+	// and checkFormed.
+	a.wanted.Load(v.Members)
+	a.arrived = a.arrived[:0]
 	a.earlyAttempts = a.earlyAttempts[:0]
 	a.earlyFlushes = a.earlyFlushes[:0]
 
@@ -411,17 +388,15 @@ func (a *Algorithm) snapshotState(viewID int64) *StateMessage {
 	}
 }
 
+// acceptState takes the first state of each member of the current view;
+// non-members and repeats are not in wanted and are dropped.
 func (a *Algorithm) acceptState(from proc.ID, st *StateMessage) {
-	// stateWanted[from] is true exactly when from is a current-view
-	// member whose state has not arrived — the historic
-	// Contains+nil-check guard pair as one byte probe.
-	if int(from) >= len(a.stateWanted) || !a.stateWanted[from] {
+	if !a.wanted.Contains(from) {
 		return
 	}
-	a.stateWanted[from] = false
-	a.states[from] = st
-	a.statesGot++
-	if a.statesGot == a.curSize {
+	a.wanted.Remove(from)
+	a.arrived = append(a.arrived, arrival{from: from, st: st})
+	if a.wanted.Empty() {
 		a.resolveAndDecide()
 	}
 }
@@ -429,25 +404,31 @@ func (a *Algorithm) acceptState(from proc.ID, st *StateMessage) {
 // resolveAndDecide runs once all states for the current view are in:
 // LEARN/RESOLVE (the rules in the package comment), COMPUTE, DECIDE,
 // and — on a positive decision — the attempt broadcast.
+//
+// Members see the states in different orders, and every rule here is
+// order-free: maxSession is a maximum, ACCEPT raises each process's
+// entry to the newest session naming it, DELETE and DECIDE quantify
+// over all states, and a maxPrimary Number tie goes to the smaller
+// sender.
 func (a *Algorithm) resolveAndDecide() {
 	v := a.cur
 
 	// COMPUTE maxSession and maxPrimary while applying ACCEPT.
 	maxSession := a.sessionNumber
-	maxPrimary := a.lastPrimary
-	v.Members.ForEach(func(q proc.ID) {
-		st := a.states[q]
+	maxPrimary, maxFrom := a.lastPrimary, a.self
+	for _, r := range a.arrived {
+		st := r.st
 		if st.SessionNumber > maxSession {
 			maxSession = st.SessionNumber
 		}
-		if st.LastPrimary.Number > maxPrimary.Number {
-			maxPrimary = st.LastPrimary
+		if n := st.LastPrimary.Number; n > maxPrimary.Number || n == maxPrimary.Number && r.from < maxFrom {
+			maxPrimary, maxFrom = st.LastPrimary, r.from
 		}
 		a.acceptFormed(&st.LastPrimary)
 		for i := range st.Formed {
 			a.acceptFormed(&st.Formed[i].Session)
 		}
-	})
+	}
 
 	// DELETE rules on our own ambiguous sessions (YKD and 1-pending).
 	if a.variant.prunes() {
@@ -467,9 +448,9 @@ func (a *Algorithm) resolveAndDecide() {
 	// COMPUTE maxAmbiguousSessions: the combined ambiguous sessions of
 	// all members that still constrain the decision.
 	a.scratch = a.scratch[:0]
-	v.Members.ForEach(func(q proc.ID) {
+	for _, r := range a.arrived {
 	next:
-		for _, s := range a.states[q].Ambiguous {
+		for _, s := range r.st.Ambiguous {
 			if a.variant != VariantDFLS {
 				// YKD-family COMPUTE keeps only sessions newer than
 				// maxPrimary; resolved-as-unformed sessions are
@@ -488,7 +469,7 @@ func (a *Algorithm) resolveAndDecide() {
 			}
 			a.scratch = append(a.scratch, s)
 		}
-	})
+	}
 
 	// DECIDE.
 	decide := quorum.SubQuorum(v.Members, maxPrimary.Members)
@@ -515,7 +496,7 @@ func (a *Algorithm) resolveAndDecide() {
 	s := view.NewSession(a.sessionNumber, v)
 	a.ambiguous = append(a.ambiguous, s)
 	a.attemptSession = s
-	a.attempts.Reset(len(a.member))
+	a.attempts.Reset(int(v.Members.Max()) + 1)
 	a.attempts.Add(a.self)
 	a.phase = phaseAttempt
 	a.out = append(a.out, &AttemptMessage{ViewID: v.ID, Session: s})
@@ -546,26 +527,29 @@ func (a *Algorithm) resolveAndDecide() {
 // universe by session), so "∃o∈s: FormedFor(o).Number < s.Number"
 // becomes one word-parallel Disjoint per entry — O(entries × words)
 // per member instead of the O(|s|² × entries) member-pair scan, which
-// is what made LEARN the CPU hot spot at kilo-process widths.
+// is what made LEARN the CPU hot spot at kilo-process widths. s is a
+// subset of the view, so every member's state is among the arrivals.
 func (a *Algorithm) provablyUnformed(s view.Session) bool {
 	if !s.Members.SubsetOf(a.cur.Members) {
 		return false
 	}
-	unformed := true
-	s.Members.EachWhile(func(q proc.ID) bool {
-		st := a.states[q]
+	for _, r := range a.arrived {
+		if !s.Members.Contains(r.from) {
+			continue
+		}
 		witnessed := false
-		for i := range st.Formed {
-			f := &st.Formed[i]
+		for i := range r.st.Formed {
+			f := &r.st.Formed[i]
 			if f.Session.Number < s.Number && !f.Who.Disjoint(s.Members) {
 				witnessed = true
 				break
 			}
 		}
-		unformed = witnessed
-		return unformed
-	})
-	return unformed
+		if !witnessed {
+			return false
+		}
+	}
+	return true
 }
 
 // acceptFormed applies the ACCEPT rule for one formed-session report.
@@ -631,9 +615,9 @@ func (a *Algorithm) recordAttempt(from proc.ID, s view.Session) {
 	// members, a number computed deterministically from the same state
 	// set), so the number comparison is the whole session Equal without
 	// the multi-word member compare the full Equal would pay per
-	// message at kilo-process widths.
-	if s.Number != a.attemptSession.Number ||
-		int(from) >= len(a.member) || !a.member[from] {
+	// message at kilo-process widths. Every instance in a view shares
+	// that view's member words, so the membership probe stays in cache.
+	if s.Number != a.attemptSession.Number || !a.cur.Members.Contains(from) {
 		return
 	}
 	a.attempts.Add(from)
@@ -642,7 +626,7 @@ func (a *Algorithm) recordAttempt(from proc.ID, s view.Session) {
 
 // checkFormed completes the formation once attempts arrived from every
 // member of the view. Every path into attempts admits only view members
-// (self on decide, the member-table guard in recordAttempt), so the
+// (self on decide, the membership guard in recordAttempt), so the
 // subset test "attempts ⊇ cur.Members" reduces to an O(1) count
 // comparison instead of a word scan per arriving attempt.
 func (a *Algorithm) checkFormed() {
@@ -658,7 +642,7 @@ func (a *Algorithm) checkFormed() {
 		// DFLS defers deletion to a third, flush round in the newly
 		// formed primary.
 		a.phase = phaseFlush
-		a.flushes.Reset(len(a.member))
+		a.flushes.Reset(int(a.cur.Members.Max()) + 1)
 		a.flushes.Add(a.self)
 		a.out = append(a.out, &FlushMessage{ViewID: a.cur.ID, Session: s})
 		pending := a.earlyFlushes

@@ -3,11 +3,14 @@
 # commit BASE on one benchmark workload: N alternating pairs of
 # `benchmark -workload WORKLOAD`, one run of each side per pair, the
 # side that goes first alternating from pair to pair. It prints every
-# run's four end-to-end metrics from the result line, then per metric
-# each side's quartiles and median, in how many pairs each side was
-# better, and whether the gain-claim rule holds for the tree: it won at
-# least nine tenths of the pairs and its median is further from the
-# base's than the base's interquartile distance.
+# run's four end-to-end metrics and its attempted and failed operation
+# counts from the result line, then per metric each side's quartiles
+# and median, in how many pairs each side was better, and whether the
+# gain-claim rule holds for the tree: it won at least nine tenths of the
+# pairs and its median is further from the base's than the base's
+# interquartile distance. Under the table it prints each side's failed
+# share of attempted operations over all its runs. A run whose result
+# line says "correct":false stops the script with an error.
 #
 #   make bench-pairs BASE=HEAD~ W=soak_farm_64 N=10
 #
@@ -33,24 +36,34 @@ rm -rf "$tmp/src"
 
 metrics="setup_s ops_per_s wait_p50_us accepted_pct"
 
-# run SIDE PAIR appends "PAIR SIDE v1 v2 v3 v4" to the results and
-# echoes it.
+# run SIDE PAIR appends "PAIR SIDE v1 v2 v3 v4 ATTEMPTED FAILED" to the
+# results and echoes it.
 run() {
 	"$tmp/$1" -workload "$workload" >"$tmp/out" 2>&1 || {
 		cat "$tmp/out" >&2
 		echo "bench-pairs: $1 run of pair $2 failed" >&2
 		exit 1
 	}
+	result=$(tail -n 1 "$tmp/out")
+	if [ "$(echo "$result" | sed -n 's/.*"correct":\([a-z]*\).*/\1/p')" != true ]; then
+		cat "$tmp/out" >&2
+		echo "bench-pairs: $1 run of pair $2 is not correct" >&2
+		exit 1
+	fi
 	line="$2 $1"
 	for m in $metrics; do
-		v=$(tail -n 1 "$tmp/out" | sed -n 's/.*"'"$m"'":{"value":\([^,}]*\).*/\1/p')
+		v=$(echo "$result" | sed -n 's/.*"'"$m"'":{"value":\([^,}]*\).*/\1/p')
+		line="$line ${v:-NaN}"
+	done
+	for c in attempted failed; do
+		v=$(echo "$result" | sed -n 's/.*"'"$c"'":\([0-9]*\).*/\1/p')
 		line="$line ${v:-NaN}"
 	done
 	echo "$line" | tee -a "$tmp/results"
 }
 
 echo "# $workload: base=$(git rev-parse --short "$base") against the working tree, $n pairs"
-echo "pair side $metrics"
+echo "pair side $metrics attempted failed"
 i=1
 while [ "$i" -le "$n" ]; do
 	if [ $((i % 2)) -eq 1 ]; then
@@ -84,7 +97,11 @@ function isort(a, k,    i, j, t) {
 		}
 }
 function abs(x) { return x < 0 ? -x : x }
-{ for (m = 1; m <= 4; m++) v[$1, $2, m] = $(m + 2) + 0; if ($1 + 0 > pairs) pairs = $1 + 0 }
+{
+	for (m = 1; m <= 4; m++) v[$1, $2, m] = $(m + 2) + 0
+	attempted[$2] += $7; failed[$2] += $8
+	if ($1 + 0 > pairs) pairs = $1 + 0
+}
 END {
 	split(names, name, " ")
 	# setup_s and wait_p50_us are better lower, the other two higher.
@@ -106,4 +123,9 @@ END {
 			sprintf("%.4g / %.4g / %.4g", tq1, tmed, tq3), tw, pairs, bw, pairs, claim
 	}
 	print "claim holds: the tree won >= 9/10 of the pairs and |tree median - base median| > base q3 - q1"
+	for (i = 1; i <= 2; i++) {
+		side = i == 1 ? "base" : "tree"
+		printf "%s failed/attempted: %d/%d (%.4g %%)\n", side, failed[side], attempted[side],
+			attempted[side] ? 100 * failed[side] / attempted[side] : 0
+	}
 }' "$tmp/results"
