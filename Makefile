@@ -17,8 +17,9 @@ BENCH_N ?= 10
 # distributed sweep farm: a coordinator plus three local worker
 # processes merging a campaign over localhost TCP; and the failure
 # detector's pause gate: the live cluster stopped and resumed under
-# load must not fail a write.
-check: fmt vet build test alloc-guard set-model race-reset soak-short soak-large loadgen-smoke loadgen-c1k farm-smoke fd-pause
+# load must not fail a write; and the allocs/op gate over every
+# benchmark in BENCH_$(BENCH_N).json.
+check: fmt vet build test alloc-guard set-model race-reset soak-short soak-large loadgen-smoke loadgen-c1k farm-smoke fd-pause bench-compare
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -58,8 +59,9 @@ bench-json:
 # bench-compare re-runs the benchmark suite and diffs it against the
 # committed BENCH_$(BENCH_N).json: per-benchmark ns/op, B/op and
 # allocs/op deltas, non-zero exit when allocs/op regressed beyond the
-# tolerance (see cmd/benchjson). ns/op at -benchtime 1x is printed and
-# not gated; `go run ./benchmark` is where time is measured.
+# tolerance or a committed benchmark did not run (see cmd/benchjson).
+# ns/op at -benchtime 1x is printed and not gated; `go run ./benchmark`
+# is where time is measured.
 bench-compare:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_$(BENCH_N).json

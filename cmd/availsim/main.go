@@ -96,14 +96,15 @@ func run(args []string) (err error) {
 
 	start := time.Now()
 	report := experiment.RunReport{
-		Tool: "availsim", Seed: *seed, Procs: *procs, Runs: *runs, Mode: m.String(),
+		ReportHeader: metrics.ReportHeader{Tool: "availsim", Seed: *seed},
+		Procs:        *procs, Runs: *runs, Mode: m.String(),
 	}
 	writeReport := func() error {
 		if *mout == "" {
 			return nil
 		}
 		report.Finish(start, reg)
-		if err := report.WriteFile(*mout); err != nil {
+		if err := metrics.WriteReportFile(*mout, report); err != nil {
 			return err
 		}
 		fmt.Printf("  report written to %s\n", *mout)

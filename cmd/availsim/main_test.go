@@ -93,6 +93,9 @@ func TestRunWritesMetricsReport(t *testing.T) {
 	if report.WallSeconds <= 0 {
 		t.Error("wall time not recorded")
 	}
+	if report.GeneratedAt.IsZero() || report.Seed != 20000505 {
+		t.Errorf("shared report header not filled in: %+v", report.ReportHeader)
+	}
 }
 
 func TestRunScalingStudy(t *testing.T) {

@@ -55,10 +55,11 @@ func fmtDelta(old, new float64) string {
 
 // compareReports prints per-benchmark deltas of current vs baseline
 // and returns an error naming every benchmark whose allocs/op grew by
-// more than tolerance percent. ns/op is printed and never gated: at
-// -benchtime 1x it moves with machine load, and timing claims belong
-// to `go run ./benchmark`. Benchmarks present on only one side are
-// reported but never fail the comparison (suites grow and shrink).
+// more than tolerance percent, and every baseline benchmark the run
+// did not produce: a gate that skips what it cannot find gates nothing.
+// ns/op is printed and never gated: at -benchtime 1x it moves with
+// machine load, and timing claims belong to `go run ./benchmark`.
+// Benchmarks new to the run are reported only.
 func compareReports(baseline, current *Report, tolerance float64, w io.Writer) error {
 	base := make(map[string]Benchmark, len(baseline.Benchmarks))
 	for _, b := range baseline.Benchmarks {
@@ -94,8 +95,10 @@ func compareReports(baseline, current *Report, tolerance float64, w io.Writer) e
 				cur.Name, old.AllocsPerOp, cur.AllocsPerOp))
 		}
 	}
+	var missing []string
 	for _, b := range baseline.Benchmarks {
 		if !seen[benchKey(b)] {
+			missing = append(missing, b.Name)
 			fmt.Fprintf(tw, "%s\t(only in baseline)\t\t\n", b.Name)
 		}
 	}
@@ -109,6 +112,9 @@ func compareReports(baseline, current *Report, tolerance float64, w io.Writer) e
 	if len(regressed) > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed beyond tolerance (allocs/op > %.1f%%): %v",
 			len(regressed), tolerance, regressed)
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("%d baseline benchmark(s) did not run: %v", len(missing), missing)
 	}
 	return nil
 }

@@ -100,8 +100,12 @@ func TestCompareNewAndMissingBenchmarks(t *testing.T) {
 		bench("BenchmarkNew-8", 100, 1000, 100),
 	}}
 	var out bytes.Buffer
-	if err := compareReports(base, cur, 2, &out); err != nil {
-		t.Fatalf("suite membership changes alone must not fail: %v", err)
+	err := compareReports(base, cur, 2, &out)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkOld-8") {
+		t.Fatalf("a baseline benchmark that did not run must fail the gate, naming it: %v", err)
+	}
+	if strings.Contains(err.Error(), "BenchmarkNew-8") {
+		t.Errorf("a new benchmark must never fail the gate: %v", err)
 	}
 	got := out.String()
 	if !strings.Contains(got, "BenchmarkNew-8") || !strings.Contains(got, "(new)") {

@@ -93,7 +93,7 @@ func run(args []string) (err error) {
 	if *mout != "" {
 		reg = metrics.NewRegistry()
 		opts.Metrics = reg
-		report = &experiment.RunReport{Tool: "figures", Seed: *seed, Procs: *procs, Runs: *runs}
+		report = &experiment.RunReport{ReportHeader: metrics.ReportHeader{Tool: "figures", Seed: *seed}, Procs: *procs, Runs: *runs}
 	}
 	opts = opts.Defaults()
 
@@ -109,7 +109,7 @@ func run(args []string) (err error) {
 			return nil
 		}
 		report.Finish(start, reg)
-		if err := report.WriteFile(*mout); err != nil {
+		if err := metrics.WriteReportFile(*mout, report); err != nil {
 			return err
 		}
 		fmt.Printf("report written to %s\n", *mout)

@@ -76,6 +76,9 @@ func TestRunFigureWritesMetricsReport(t *testing.T) {
 	if report.Tool != "figures" {
 		t.Errorf("tool = %q, want figures", report.Tool)
 	}
+	if h := report.ReportHeader; h.GeneratedAt.IsZero() || h.Seed != 20000505 || h.WallSeconds <= 0 {
+		t.Errorf("shared report header not filled in: %+v", h)
+	}
 	// Figure 4-1 sweeps every availability algorithm over both rates.
 	if len(report.Cases) == 0 || len(report.Cases)%2 != 0 {
 		t.Errorf("got %d cases, want a positive multiple of 2 rates", len(report.Cases))

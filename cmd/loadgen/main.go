@@ -29,11 +29,9 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"dynvote/internal/algset"
-	"dynvote/internal/campaign"
 	"dynvote/internal/gcs"
 	"dynvote/internal/loadgen"
 	"dynvote/internal/metrics"
@@ -300,35 +298,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(prose, "loadgen: metrics on http://%s/metrics\n", bound)
 	}
 
-	var progress *campaign.Reporter
-	if !o.quiet {
-		progress = campaign.NewReporter(prose)
-	}
-
-	// The fault schedule runs beside the load; its completion gates the
-	// reads of injectedAt/healedAt after the run.
+	// The schedule runs beside the load; its completion gates the reads
+	// of injectedAt/healedAt after the run.
 	start := time.Now()
-	var (
-		faultWG    sync.WaitGroup
-		injectedAt time.Time
-		healedAt   time.Time
-	)
-	if o.partition > 0 {
-		faultWG.Add(1)
-		go func() {
-			defer faultWG.Done()
-			time.Sleep(time.Until(start.Add(o.partition)))
-			cl.partition()
-			injectedAt = time.Now()
-			progress.Printf("loadgen: t=%4.1fs partition injected (%v into run)",
-				time.Since(start).Seconds(), o.partition)
-			time.Sleep(time.Until(start.Add(o.heal)))
-			cl.healAll()
-			healedAt = time.Now()
-			progress.Printf("loadgen: t=%4.1fs partition healed",
-				time.Since(start).Seconds())
-		}()
-	}
+	var injectedAt, healedAt time.Time
+	scheduled := make(chan struct{})
+	go func() {
+		defer close(scheduled)
+		injectedAt, healedAt = schedule(o, cl, reg, start, prose)
+	}()
 
 	res, runErr := loadgen.Run(loadgen.Config{
 		Addrs:         addrs,
@@ -340,20 +318,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		WriteFraction: o.writes,
 		Seed:          o.seed,
 		Registry:      reg,
-		Progress:      progress,
 	})
-	faultWG.Wait()
+	<-scheduled
 	if runErr != nil {
 		return runErr
 	}
 
 	rep := &loadgen.Report{
-		Kind:     "loadgen",
-		Alg:      o.alg,
-		Conns:    o.conns,
-		Pipeline: o.pipeline,
-		RateRPS:  o.rate,
-		Result:   res,
+		ReportHeader: metrics.ReportHeader{Tool: "loadgen", Seed: o.seed},
+		Alg:          o.alg,
+		Conns:        o.conns,
+		Pipeline:     o.pipeline,
+		RateRPS:      o.rate,
+		Result:       res,
 	}
 	if cl != nil {
 		rep.Nodes = cl.n
@@ -395,14 +372,67 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rep.Failover = f
 	}
 
+	rep.Finish(start, nil)
 	printSummary(prose, rep)
-	if err := writeJSON(o.jsonOut, rep, stdout); err != nil {
+	switch o.jsonOut {
+	case "":
+	case "-": // the report alone on stdout; the prose went to stderr
+		err = metrics.WriteReport(stdout, rep)
+	default:
+		err = metrics.WriteReportFile(o.jsonOut, rep)
+	}
+	if err != nil {
 		return err
 	}
 	if o.smoke {
 		return smokeCheck(rep, o)
 	}
 	return nil
+}
+
+// schedule owns the prose while the load runs: a progress line every
+// second from the registry's loadgen counters (unless -q), and the
+// partition injected and healed on time. It returns when the run ends,
+// never before the heal, with when the partition was injected and
+// healed.
+func schedule(o options, cl *cluster, reg *metrics.Registry, start time.Time, prose io.Writer) (injectedAt, healedAt time.Time) {
+	say := func(line string) {
+		if !o.quiet {
+			fmt.Fprintf(prose, "loadgen: t=%4.1fs %s\n", time.Since(start).Seconds(), line)
+		}
+	}
+	count := func(name string) int64 { return reg.Counter(name, "").Value() }
+	tick := time.NewTicker(time.Second)
+	defer tick.Stop()
+	var inject, heal <-chan time.Time
+	if o.partition > 0 {
+		inject = time.After(time.Until(start.Add(o.partition)))
+	}
+	end := time.After(time.Until(start.Add(o.duration)))
+	for {
+		var ended <-chan time.Time
+		if inject == nil && heal == nil {
+			ended = end
+		}
+		select {
+		case <-tick.C:
+			reqs := count("loadgen_requests_total")
+			say(fmt.Sprintf("reqs=%d ok=%d notPrimary=%d errs=%d rate=%.0f/s", reqs, count("loadgen_ok_total"),
+				count("loadgen_not_primary_total"), count("loadgen_errors_total"), float64(reqs)/time.Since(start).Seconds()))
+		case <-inject:
+			cl.partition()
+			injectedAt = time.Now()
+			say(fmt.Sprintf("partition injected (%v into run)", o.partition))
+			inject, heal = nil, time.After(time.Until(start.Add(o.heal)))
+		case <-heal:
+			cl.healAll()
+			healedAt = time.Now()
+			say("partition healed")
+			heal = nil
+		case <-ended:
+			return injectedAt, healedAt
+		}
+	}
 }
 
 func printSummary(w io.Writer, rep *loadgen.Report) {
@@ -433,25 +463,6 @@ func printSummary(w io.Writer, rep *loadgen.Report) {
 	if len(rep.Peers) > 0 {
 		fmt.Fprintf(w, "loadgen: wire total %d msgs / %d bytes across %d peer links\n",
 			msgs, bytes, len(rep.Peers))
-	}
-}
-
-func writeJSON(dest string, rep *loadgen.Report, stdout io.Writer) error {
-	switch dest {
-	case "":
-		return nil
-	case "-":
-		return rep.WriteJSON(stdout)
-	default:
-		f, err := os.Create(dest)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		return f.Close()
 	}
 }
 

@@ -31,12 +31,15 @@ func TestSmokeRunWithPartition(t *testing.T) {
 		t.Fatalf("run: %v\nstderr:\n%s", err, errs.String())
 	}
 
-	rep, err := loadgen.ReadReport(&out)
-	if err != nil {
+	var rep loadgen.Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("stdout is not a report: %v\n%s", err, out.String())
 	}
-	if rep.Kind != "loadgen" || rep.Nodes != 3 {
+	if rep.Tool != "loadgen" || rep.Nodes != 3 {
 		t.Errorf("report header: %+v", rep)
+	}
+	if h := rep.ReportHeader; h.GeneratedAt.IsZero() || h.Seed != 1 || h.WallSeconds < 2.5 {
+		t.Errorf("shared report header not filled in: %+v", h)
 	}
 	if rep.Result.Requests == 0 || rep.Result.OK == 0 {
 		t.Errorf("no work measured: %+v", rep.Result)

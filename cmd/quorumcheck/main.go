@@ -35,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -48,6 +49,7 @@ import (
 	"dynvote/internal/core"
 	"dynvote/internal/experiment"
 	"dynvote/internal/farm"
+	"dynvote/internal/metrics"
 	"dynvote/internal/naive"
 )
 
@@ -103,7 +105,10 @@ func run(args []string) error {
 
 	experiment.SetParallelism(*workers)
 
-	rep := campaign.NewReporter(os.Stdout)
+	// Every progress and PASSED line fires under the campaign's merge
+	// lock (the farm's progress lines too), so they share os.Stdout
+	// unlocked. The SIGINT notices are single writes, which an *os.File
+	// never interleaves.
 	cfg := campaign.Config{
 		Factories:     factories,
 		Procs:         *procs,
@@ -114,19 +119,18 @@ func run(args []string) error {
 		Chains:        *chains,
 		TraceRetain:   *retain,
 		ProgressEvery: *every,
-		Progress:      func(u campaign.ProgressUpdate) { progressLine(rep, u) },
-		AlgorithmDone: func(a campaign.AlgorithmResult) { passedLine(rep, a, *chains) },
+		Progress:      func(u campaign.ProgressUpdate) { progressLine(os.Stdout, u) },
+		AlgorithmDone: func(a campaign.AlgorithmResult) { passedLine(os.Stdout, a, *chains) },
 	}
 
 	var (
 		tool = "quorumcheck"
 		res  *campaign.Result
-		used int // workers, for the report
 		err  error
 	)
 	if *farmListen != "" {
 		tool = "quorumcheck-farm"
-		res, used, err = farmCoordinatorMain(rep, cfg, *farmListen, *farmStraggler, *farmWorkers, *workers)
+		res, err = farmCoordinatorMain(cfg, *farmListen, *farmStraggler, *farmWorkers, *workers)
 		if res == nil {
 			return err
 		}
@@ -136,17 +140,16 @@ func run(args []string) error {
 		// aborted.
 		cfg.Abort = new(atomic.Bool)
 		stopSignals := onInterrupt(func() {
-			rep.Printf("interrupt: draining — finishing in-flight chains")
+			fmt.Println("interrupt: draining — finishing in-flight chains")
 			cfg.Abort.Store(true)
 		})
 		defer stopSignals()
 		res, err = campaign.Run(cfg)
-		used = experiment.Parallelism()
 	}
 
 	if *jsonOut != "" {
-		report := campaign.NewReport(tool, cfg, res, used, err)
-		if werr := report.WriteFile(*jsonOut); werr != nil {
+		report := campaign.NewReport(tool, cfg, res, res.Workers, err)
+		if werr := metrics.WriteReportFile(*jsonOut, report); werr != nil {
 			if err == nil {
 				return werr
 			}
@@ -201,32 +204,32 @@ func farmWorkerMain(addr string, capacity int) error {
 
 // farmCoordinatorMain is the `-farm-listen` mode: dispatch the
 // campaign's chains, optionally to spawn local worker processes of
-// the given capacity, and return the merged result with the peak
-// worker count. A nil result means the farm never started.
-func farmCoordinatorMain(rep *campaign.Reporter, cfg campaign.Config, listen string, straggler time.Duration,
-	spawn, capacity int) (*campaign.Result, int, error) {
+// the given capacity, and return the merged result, its Workers set
+// to the peak worker count. A nil result means the farm never started.
+func farmCoordinatorMain(cfg campaign.Config, listen string, straggler time.Duration,
+	spawn, capacity int) (*campaign.Result, error) {
 	c, err := farm.NewCoordinator(farm.CoordinatorConfig{
 		Campaign:       cfg,
 		Listen:         listen,
 		StragglerAfter: straggler,
 		Progress: func(u farm.Update) {
-			rep.Printf("%-16s %4d/%d chains merged, %d requeued, %d workers (%.0fs)",
+			fmt.Printf("%-16s %4d/%d chains merged, %d requeued, %d workers (%.0fs)\n",
 				"farm", u.Done, u.Total, u.Requeued, u.Workers, u.Elapsed.Seconds())
 		},
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	rep.Printf("farm coordinator listening on %s", c.Addr())
+	fmt.Printf("farm coordinator listening on %s\n", c.Addr())
 
 	procs, err := spawnLocalWorkers(spawn, c.Addr(), capacity)
 	if err != nil {
 		c.Close()
-		return nil, 0, err
+		return nil, err
 	}
 
 	stopSignals := onInterrupt(func() {
-		rep.Printf("interrupt: draining farm — workers finish in-flight chains")
+		fmt.Println("interrupt: draining farm — workers finish in-flight chains")
 		c.Drain()
 	})
 	defer stopSignals()
@@ -241,7 +244,10 @@ func farmCoordinatorMain(rep *campaign.Reporter, cfg campaign.Config, listen str
 			fmt.Fprintln(os.Stderr, "quorumcheck: worker process:", werr)
 		}
 	}
-	return res, peak, ferr
+	if res != nil {
+		res.Workers = peak
+	}
+	return res, ferr
 }
 
 // spawnLocalWorkers launches n copies of this binary in -farm-join
@@ -279,7 +285,7 @@ func spawnLocalWorkers(n int, addr string, capacity int) ([]*exec.Cmd, error) {
 // progressLine renders one chain's progress. The single-chain format is
 // byte-identical to the historical serial soak; sharded campaigns add
 // the chain coordinates after the algorithm name.
-func progressLine(rep *campaign.Reporter, u campaign.ProgressUpdate) {
+func progressLine(w io.Writer, u campaign.ProgressUpdate) {
 	elapsed := u.Elapsed.Seconds()
 	throughput := float64(u.Injected) / elapsed
 	eta := time.Duration(float64(u.Budget-u.Injected) / throughput * float64(time.Second))
@@ -288,12 +294,12 @@ func progressLine(rep *campaign.Reporter, u campaign.ProgressUpdate) {
 		availability = 100 * float64(u.Formed) / float64(u.Runs)
 	}
 	if u.Chains == 1 {
-		rep.Printf("%-16s %9d/%d changes, %6d runs, %8.0f changes/s, %d assertions, availability %5.1f%% (eta %s)",
+		fmt.Fprintf(w, "%-16s %9d/%d changes, %6d runs, %8.0f changes/s, %d assertions, availability %5.1f%% (eta %s)\n",
 			u.Algorithm, u.Injected, u.Budget, u.Runs, throughput, u.Assertions,
 			availability, eta.Round(time.Second))
 		return
 	}
-	rep.Printf("%-16s [%d/%d] %9d/%d changes, %6d runs, %8.0f changes/s, %d assertions, availability %5.1f%% (eta %s)",
+	fmt.Fprintf(w, "%-16s [%d/%d] %9d/%d changes, %6d runs, %8.0f changes/s, %d assertions, availability %5.1f%% (eta %s)\n",
 		u.Algorithm, u.Chain+1, u.Chains, u.Injected, u.Budget, u.Runs, throughput,
 		u.Assertions, availability, eta.Round(time.Second))
 }
@@ -301,13 +307,13 @@ func progressLine(rep *campaign.Reporter, u campaign.ProgressUpdate) {
 // passedLine renders an algorithm's merged verdict once its last chain
 // completes cleanly. Single-chain campaigns reproduce the historical
 // line exactly.
-func passedLine(rep *campaign.Reporter, a campaign.AlgorithmResult, chains int) {
+func passedLine(w io.Writer, a campaign.AlgorithmResult, chains int) {
 	if chains == 1 {
-		rep.Printf("%-16s PASSED: %d changes across %d cascading runs, %d checker assertions, zero violations (%.1fs)",
+		fmt.Fprintf(w, "%-16s PASSED: %d changes across %d cascading runs, %d checker assertions, zero violations (%.1fs)\n",
 			a.Algorithm, a.Changes, a.Runs, a.Assertions, a.Elapsed.Seconds())
 		return
 	}
-	rep.Printf("%-16s PASSED: %d changes across %d chains, %d cascading runs, %d checker assertions, zero violations (%.1fs)",
+	fmt.Fprintf(w, "%-16s PASSED: %d changes across %d chains, %d cascading runs, %d checker assertions, zero violations (%.1fs)\n",
 		a.Algorithm, a.Changes, chains, a.Runs, a.Assertions, a.Elapsed.Seconds())
 }
 

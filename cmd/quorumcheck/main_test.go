@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net"
 	"os"
 	"strings"
@@ -48,7 +49,6 @@ func TestSoakPrintsProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := campaign.NewReporter(&buf)
 	_, err = campaign.Run(campaign.Config{
 		Factories:     []core.Factory{f},
 		Procs:         8,
@@ -58,8 +58,8 @@ func TestSoakPrintsProgress(t *testing.T) {
 		Seed:          1,
 		Chains:        1,
 		ProgressEvery: time.Nanosecond,
-		Progress:      func(u campaign.ProgressUpdate) { progressLine(rep, u) },
-		AlgorithmDone: func(a campaign.AlgorithmResult) { passedLine(rep, a, 1) },
+		Progress:      func(u campaign.ProgressUpdate) { progressLine(&buf, u) },
+		AlgorithmDone: func(a campaign.AlgorithmResult) { passedLine(&buf, a, 1) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +82,7 @@ func TestProgressLineFormats(t *testing.T) {
 		Assertions: 4321, Elapsed: 2 * time.Second,
 	}
 	var buf bytes.Buffer
-	rep := campaign.NewReporter(&buf)
-	progressLine(rep, u)
+	progressLine(&buf, u)
 	want := "ykd                   1200/10000 changes,    100 runs,      600 changes/s, 4321 assertions, availability  95.0% (eta 15s)\n"
 	if got := buf.String(); got != want {
 		t.Errorf("single-chain progress line:\n got %q\nwant %q", got, want)
@@ -91,7 +90,7 @@ func TestProgressLineFormats(t *testing.T) {
 
 	buf.Reset()
 	u.Chain, u.Chains = 2, 8
-	progressLine(rep, u)
+	progressLine(&buf, u)
 	if got := buf.String(); !strings.Contains(got, "ykd              [3/8]") {
 		t.Errorf("sharded progress line missing chain coordinates: %q", got)
 	}
@@ -101,14 +100,14 @@ func TestProgressLineFormats(t *testing.T) {
 		Algorithm: "ykd", Changes: 10000, Runs: 834, Formed: 800,
 		Assertions: 54321, Elapsed: 2500 * time.Millisecond,
 	}
-	passedLine(rep, a, 1)
+	passedLine(&buf, a, 1)
 	want = "ykd              PASSED: 10000 changes across 834 cascading runs, 54321 checker assertions, zero violations (2.5s)\n"
 	if got := buf.String(); got != want {
 		t.Errorf("single-chain PASSED line:\n got %q\nwant %q", got, want)
 	}
 
 	buf.Reset()
-	passedLine(rep, a, 8)
+	passedLine(&buf, a, 8)
 	if got := buf.String(); !strings.Contains(got, "across 10000 changes") && !strings.Contains(got, "8 chains") {
 		t.Errorf("sharded PASSED line missing chain count: %q", got)
 	}
@@ -139,7 +138,9 @@ func TestNaiveViolationDumpsTrace(t *testing.T) {
 }
 
 // TestJSONReport: a campaign run with -json writes a report CI can
-// parse, even (especially) when the campaign ends in a violation.
+// parse, even (especially) when the campaign ends in a violation. It
+// carries the shared report header, and its worker count is the
+// workers the campaign could use: never more than its jobs.
 func TestJSONReport(t *testing.T) {
 	path := t.TempDir() + "/campaign.json"
 	err := run([]string{"-alg", "naive", "-procs", "8", "-changes", "500",
@@ -157,6 +158,25 @@ func TestJSONReport(t *testing.T) {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("JSON report missing %s:\n%.400s", want, data)
 		}
+	}
+	var rep campaign.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if h := rep.ReportHeader; h.Tool != "quorumcheck" || h.GeneratedAt.IsZero() || h.Seed != 29 || h.WallSeconds <= 0 {
+		t.Errorf("report header not filled in: %+v", h)
+	}
+
+	one := t.TempDir() + "/one.json"
+	if err := run([]string{"-alg", "ykd", "-procs", "8", "-changes", "100", "-chains", "1",
+		"-workers", "4", "-progress", "0", "-json", one}); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(one); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"workers": 1,`) {
+		t.Errorf("a one-job campaign reports more than one worker:\n%.400s", data)
 	}
 }
 

@@ -151,6 +151,9 @@ type Result struct {
 	// statistics are a clean partial prefix, not a full budget.
 	Aborted bool
 	Elapsed time.Duration
+	// Workers is how many workers ran chains at once: Run's count, or
+	// the farm's peak when its caller sets it.
+	Workers int
 }
 
 // ChainError wraps a safety violation (or driver failure) with the
@@ -233,7 +236,10 @@ func Run(cfg Config) (*Result, error) {
 		}
 		m.Add(job, stat, err)
 	})
-	return m.Result(cfg.Abort != nil && cfg.Abort.Load())
+	res, err := m.Result(cfg.Abort != nil && cfg.Abort.Load())
+	// ParallelWorkers starts no more workers than there are jobs.
+	res.Workers = min(experiment.Parallelism(), m.Jobs())
+	return res, err
 }
 
 // RunChain executes a single (algorithm, chain) cell of the campaign

@@ -12,10 +12,11 @@ import (
 	"dynvote/internal/naive"
 )
 
-// stripTiming zeroes the wall-clock fields so deterministic state can
-// be compared across runs with reflect.DeepEqual.
+// stripTiming zeroes the wall-clock fields and the worker count so
+// deterministic state can be compared across runs with
+// reflect.DeepEqual.
 func stripTiming(res *Result) *Result {
-	res.Elapsed = 0
+	res.Elapsed, res.Workers = 0, 0
 	for i := range res.Algorithms {
 		res.Algorithms[i].Elapsed = 0
 		for j := range res.Algorithms[i].Chains {

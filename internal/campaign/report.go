@@ -1,11 +1,9 @@
 package campaign
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
 	"time"
+
+	"dynvote/internal/metrics"
 )
 
 // Report is the machine-readable record of one campaign, written by
@@ -14,16 +12,13 @@ import (
 // assertion totals, and the violation (if any) — without scraping the
 // human-readable progress stream.
 type Report struct {
-	Tool        string    `json:"tool"`
-	GeneratedAt time.Time `json:"generated_at"`
-	Seed        int64     `json:"seed"`
-	Procs       int       `json:"procs"`
-	Changes     int       `json:"changes"`
-	Segment     int       `json:"segment"`
-	Rate        float64   `json:"rate"`
-	Chains      int       `json:"chains"`
-	Workers     int       `json:"workers"`
-	WallSeconds float64   `json:"wall_seconds"`
+	metrics.ReportHeader
+	Procs   int     `json:"procs"`
+	Changes int     `json:"changes"`
+	Segment int     `json:"segment"`
+	Rate    float64 `json:"rate"`
+	Chains  int     `json:"chains"`
+	Workers int     `json:"workers"`
 	// Requeued totals the chain re-issues across the whole campaign —
 	// farm retries after worker loss or straggler deadlines. Always 0
 	// for local runs.
@@ -65,17 +60,19 @@ type ChainReport struct {
 func NewReport(tool string, cfg Config, res *Result, workers int, violation error) *Report {
 	cfg = cfg.withDefaults()
 	r := &Report{
-		Tool:        tool,
-		GeneratedAt: time.Now().UTC(),
-		Seed:        cfg.Seed,
-		Procs:       cfg.Procs,
-		Changes:     cfg.Changes,
-		Segment:     cfg.Segment,
-		Rate:        cfg.Rate,
-		Chains:      cfg.Chains,
-		Workers:     workers,
-		WallSeconds: res.Elapsed.Seconds(),
-		Aborted:     res.Aborted,
+		ReportHeader: metrics.ReportHeader{
+			Tool:        tool,
+			GeneratedAt: time.Now().UTC(),
+			Seed:        cfg.Seed,
+			WallSeconds: res.Elapsed.Seconds(),
+		},
+		Procs:   cfg.Procs,
+		Changes: cfg.Changes,
+		Segment: cfg.Segment,
+		Rate:    cfg.Rate,
+		Chains:  cfg.Chains,
+		Workers: workers,
+		Aborted: res.Aborted,
 	}
 	if violation != nil {
 		r.Violation = violation.Error()
@@ -100,28 +97,4 @@ func NewReport(tool string, cfg Config, res *Result, workers int, violation erro
 		r.Algorithms = append(r.Algorithms, ar)
 	}
 	return r
-}
-
-// ReadReport decodes a report previously written by WriteFile, for
-// consumers like benchjson that fold campaign outcomes into committed
-// benchmark files.
-func ReadReport(r io.Reader) (*Report, error) {
-	var rep Report
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("campaign: decode report: %w", err)
-	}
-	return &rep, nil
-}
-
-// WriteFile writes the report as indented JSON.
-func (r *Report) WriteFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return fmt.Errorf("campaign: encode report: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("campaign: write report: %w", err)
-	}
-	return nil
 }

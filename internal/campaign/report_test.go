@@ -1,17 +1,20 @@
 package campaign
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"dynvote/internal/metrics"
 )
 
 // TestReportRoundTrip pins the report format — the new execution
 // accounting (per-chain wall time, requeue counts, the aborted marker)
 // must appear under stable JSON keys alongside the historical fields —
-// and proves ReadReport inverts WriteFile.
+// and proves encoding/json decodes what the shared report encoder wrote.
 func TestReportRoundTrip(t *testing.T) {
 	res := &Result{
 		Algorithms: []AlgorithmResult{{
@@ -38,14 +41,14 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 
 	path := t.TempDir() + "/report.json"
-	if err := rep.WriteFile(path); err != nil {
+	if err := metrics.WriteReportFile(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Format pin: CI and benchjson key on these literal names.
+	// Format pin: CI keys on these literal names.
 	for _, key := range []string{
 		`"tool"`, `"seed"`, `"workers"`, `"wall_seconds"`, `"requeued"`,
 		`"aborted"`, `"violation"`, `"availability_pct"`, `"chain"`,
@@ -55,14 +58,12 @@ func TestReportRoundTrip(t *testing.T) {
 		}
 	}
 
-	f, err := os.Open(path)
-	if err != nil {
+	var back Report
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	back, err := ReadReport(f)
-	if err != nil {
-		t.Fatal(err)
+	if back.GeneratedAt.IsZero() || back.Seed != 7 || back.WallSeconds != 2 {
+		t.Errorf("shared header not round-tripped: %+v", back.ReportHeader)
 	}
 	if back.Tool != "quorumcheck-test" || back.Workers != 3 ||
 		back.Requeued != 2 || !back.Aborted || back.Violation != "boom" {

@@ -102,8 +102,8 @@ func TestRunReportRoundTrip(t *testing.T) {
 	}
 
 	report := experiment.RunReport{
-		Tool: "test", Seed: spec.Seed, Procs: spec.Procs,
-		Runs: spec.Runs, Mode: spec.Mode.String(),
+		ReportHeader: metrics.ReportHeader{Tool: "test", Seed: spec.Seed},
+		Procs:        spec.Procs, Runs: spec.Runs, Mode: spec.Mode.String(),
 	}
 	report.AddCase(res, spec.Changes)
 	report.Finish(time.Now().Add(-time.Second), reg)
@@ -139,10 +139,10 @@ func TestRunReportRoundTrip(t *testing.T) {
 
 // TestRunReportWriteFile exercises the file-writing path end to end.
 func TestRunReportWriteFile(t *testing.T) {
-	report := experiment.RunReport{Tool: "availsim", Seed: 1, Mode: "fresh"}
+	report := experiment.RunReport{ReportHeader: metrics.ReportHeader{Tool: "availsim", Seed: 1}, Mode: "fresh"}
 	report.Finish(time.Now(), nil)
 	path := filepath.Join(t.TempDir(), "report.json")
-	if err := report.WriteFile(path); err != nil {
+	if err := metrics.WriteReportFile(path, &report); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

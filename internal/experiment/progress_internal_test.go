@@ -5,34 +5,23 @@ import (
 	"time"
 )
 
-// TestProgressETA pins the extrapolation arithmetic with a fake clock:
-// 4 cases, 2 done in 10s → 10s remain.
+// TestProgressETA pins the extrapolation arithmetic of the progress
+// lines: the mean case time so far, times the cases left.
 func TestProgressETA(t *testing.T) {
-	var lines []string
-	p := newProgressReporter(4, func(s string) { lines = append(lines, s) })
-	base := p.start
-	p.now = func() time.Time { return base.Add(10 * time.Second) }
-
-	p.caseDone("a")
-	p.caseDone("b")
-	if want := "[1/4] a  (eta 30s)"; lines[0] != want {
-		t.Errorf("line 1 = %q, want %q", lines[0], want)
+	for _, c := range []struct {
+		done, total int
+		elapsed     time.Duration
+		want        string
+	}{
+		{0, 4, 10 * time.Second, ""},                  // nothing to extrapolate from
+		{1, 4, 10 * time.Second, "  (eta 30s)"},       // 10s a case, 3 left
+		{2, 4, 10 * time.Second, "  (eta 10s)"},       // 5s a case, 2 left
+		{3, 4, 1500 * time.Millisecond, "  (eta 1s)"}, // 0.5s rounds to 1s
+		{4, 4, 10 * time.Second, ""},                  // nothing remains
+		{3, 720, 9 * time.Second, "  (eta 35m51s)"},
+	} {
+		if got := eta(c.done, c.total, c.elapsed); got != c.want {
+			t.Errorf("eta(%d, %d, %v) = %q, want %q", c.done, c.total, c.elapsed, got, c.want)
+		}
 	}
-	if want := "[2/4] b  (eta 10s)"; lines[1] != want {
-		t.Errorf("line 2 = %q, want %q", lines[1], want)
-	}
-	p.caseDone("c")
-	p.caseDone("d")
-	if want := "[4/4] d"; lines[3] != want {
-		t.Errorf("final line = %q, want %q (no ETA once done)", lines[3], want)
-	}
-}
-
-// TestProgressNilSafe: a nil reporter (no sink requested) is a no-op.
-func TestProgressNilSafe(t *testing.T) {
-	if p := newProgressReporter(10, nil); p != nil {
-		t.Fatal("reporter without a sink should be nil")
-	}
-	var p *progressReporter
-	p.caseDone("must not panic")
 }

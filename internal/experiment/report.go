@@ -1,13 +1,6 @@
 package experiment
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"time"
-
-	"dynvote/internal/metrics"
-)
+import "dynvote/internal/metrics"
 
 // RunReport is the machine-readable record of one measurement session:
 // what was asked for, what came out, how long it took, and — when the
@@ -16,18 +9,11 @@ import (
 // with -metrics-out; downstream tooling consumes it with encoding/json
 // instead of scraping the human-readable tables.
 type RunReport struct {
-	// Tool names the producer, e.g. "availsim".
-	Tool        string       `json:"tool"`
-	GeneratedAt time.Time    `json:"generated_at"`
-	Seed        int64        `json:"seed"`
-	Procs       int          `json:"procs"`
-	Runs        int          `json:"runs"`
-	Mode        string       `json:"mode"`
-	WallSeconds float64      `json:"wall_seconds"`
-	Cases       []CaseReport `json:"cases"`
-	// Metrics is the registry snapshot at the end of the session; nil
-	// when the session ran uninstrumented.
-	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
+	metrics.ReportHeader
+	Procs int          `json:"procs"`
+	Runs  int          `json:"runs"`
+	Mode  string       `json:"mode"`
+	Cases []CaseReport `json:"cases"`
 }
 
 // CaseReport flattens one CaseResult into plain JSON-friendly numbers.
@@ -92,28 +78,4 @@ func (r *RunReport) AddSeries(series []Series, changes int) {
 			r.AddCase(p, changes)
 		}
 	}
-}
-
-// Finish stamps the report with the elapsed wall time since start and,
-// when reg is non-nil, the final metrics snapshot.
-func (r *RunReport) Finish(start time.Time, reg *metrics.Registry) {
-	r.GeneratedAt = time.Now().UTC()
-	r.WallSeconds = time.Since(start).Seconds()
-	if reg != nil {
-		s := reg.Snapshot()
-		r.Metrics = &s
-	}
-}
-
-// WriteFile writes the report as indented JSON.
-func (r *RunReport) WriteFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiment: encode report: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("experiment: write report: %w", err)
-	}
-	return nil
 }

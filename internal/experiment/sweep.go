@@ -24,8 +24,8 @@ type SweepSpec struct {
 	// MeasureSizes additionally collects message-size maxima.
 	MeasureSizes bool
 	// Progress, when non-nil, receives one "[k/N] ... (eta 12s)" line
-	// per completed case. Lines are serialized; the sink needs no
-	// locking of its own.
+	// per completed case, under the lock that merges the case: the
+	// sink needs no locking of its own.
 	Progress func(string)
 	// Metrics, when non-nil, receives sweep-level instrumentation
 	// (per-case wall time, worker count) and is plumbed into every
@@ -84,10 +84,11 @@ func RunSweep(spec SweepSpec) ([]Series, error) {
 	}
 	sm := newSweepMetrics(spec.Metrics)
 	sm.workers.Set(int64(workers))
-	progress := newProgressReporter(len(cells), spec.Progress)
+	start := time.Now()
 	var (
 		mu       sync.Mutex
 		firstErr error
+		done     int // cases reported to Progress
 	)
 	parallelDo(len(cells), func(i int) {
 		mu.Lock()
@@ -119,14 +120,26 @@ func RunSweep(spec SweepSpec) ([]Series, error) {
 		} else {
 			series[c.alg].Points[c.rate] = res
 		}
-		mu.Unlock()
-		if err == nil {
-			progress.caseDone(fmt.Sprintf("%-16s rate=%-5.1f %s",
-				res.Algorithm, res.MeanRounds, res.Availability))
+		if err == nil && spec.Progress != nil {
+			done++
+			spec.Progress(fmt.Sprintf("[%d/%d] %-16s rate=%-5.1f %s%s", done, len(cells),
+				res.Algorithm, res.MeanRounds, res.Availability, eta(done, len(cells), time.Since(start))))
 		}
+		mu.Unlock()
 	})
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	return series, nil
+}
+
+// eta extrapolates the wall time left from the mean duration of the
+// done cases out of total, elapsed so far. It is empty until there is
+// something to extrapolate from and once nothing remains.
+func eta(done, total int, elapsed time.Duration) string {
+	if done == 0 || done >= total {
+		return ""
+	}
+	remain := time.Duration(float64(elapsed) / float64(done) * float64(total-done))
+	return fmt.Sprintf("  (eta %s)", remain.Round(time.Second))
 }

@@ -1,9 +1,6 @@
 package loadgen
 
-import (
-	"encoding/json"
-	"io"
-)
+import "dynvote/internal/metrics"
 
 // FailoverReport is the measured failover under one injected
 // partition: wall-clock offsets of the injection and heal, and the
@@ -46,10 +43,10 @@ type PeerWireReport struct {
 	SendMaxMs  float64 `json:"send_max_ms"`
 }
 
-// Report is the machine-readable result of one cmd/loadgen run — what
-// -json emits and what cmd/benchjson ingests with -loadgen.
+// Report is the machine-readable result of one cmd/loadgen run, what
+// -json emits. Its header's tool is always "loadgen".
 type Report struct {
-	Kind     string           `json:"kind"` // always "loadgen"
+	metrics.ReportHeader
 	Alg      string           `json:"alg"`
 	Nodes    int              `json:"nodes"`
 	Conns    int              `json:"conns"`
@@ -58,25 +55,4 @@ type Report struct {
 	Result   Result           `json:"result"`
 	Failover *FailoverReport  `json:"failover,omitempty"`
 	Peers    []PeerWireReport `json:"peers,omitempty"`
-}
-
-// WriteJSON emits the report, indented, with a trailing newline.
-func (r *Report) WriteJSON(w io.Writer) error {
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
-
-// ReadReport parses a Report written by WriteJSON.
-func ReadReport(r io.Reader) (*Report, error) {
-	var rep Report
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"dynvote/internal/campaign"
 	"dynvote/internal/metrics"
 )
 
@@ -42,10 +41,6 @@ type Config struct {
 	// Registry receives the run's counters and the request-latency
 	// histogram. Nil creates a private registry.
 	Registry *metrics.Registry
-	// Progress, when non-nil, receives periodic one-line summaries.
-	Progress *campaign.Reporter
-	// ProgressEvery is the progress period (default 1s).
-	ProgressEvery time.Duration
 }
 
 // LatencySummary is request latency in milliseconds.
@@ -97,9 +92,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Registry == nil {
 		out.Registry = metrics.NewRegistry()
-	}
-	if out.ProgressEvery <= 0 {
-		out.ProgressEvery = time.Second
 	}
 	return out
 }
@@ -187,27 +179,7 @@ func Run(cfg Config) (Result, error) {
 			worker(&c, rc, c.Addrs[i%len(c.Addrs)], i, interval, deadline, &ext[i])
 		}(i)
 	}
-
-	progressDone := make(chan struct{})
-	go func() {
-		defer close(progressDone)
-		ticker := time.NewTicker(c.ProgressEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				el := time.Since(start).Seconds()
-				reqs := rc.requests.Value()
-				c.Progress.Printf("loadgen: t=%4.1fs reqs=%d ok=%d notPrimary=%d errs=%d rate=%.0f/s",
-					el, reqs, rc.ok.Value(), rc.notPrimary.Value(), rc.errs.Value(), float64(reqs)/el)
-			case <-time.After(time.Until(deadline)):
-				return
-			}
-		}
-	}()
-
 	wg.Wait()
-	<-progressDone
 	elapsed := time.Since(start)
 
 	var all extrema

@@ -5,7 +5,9 @@
 // ways: a structured Snapshot (JSON-serializable, with Delta for
 // interval rates), an aligned text table for terminal output, the
 // Prometheus text exposition format for scrape endpoints, and an
-// http.Handler wrapping the latter.
+// http.Handler wrapping the latter. Every tool's JSON report embeds
+// ReportHeader, which carries such a Snapshot, and leaves through
+// WriteReport.
 //
 // Every metric type is nil-safe: methods on a nil *Counter, *Gauge,
 // *Histogram or *Registry are no-ops that allocate nothing, so

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dynvote/internal/rng"
@@ -21,6 +22,10 @@ func BenchmarkCollectDeliver(b *testing.B) {
 			c := sim.NewCluster(chatterFactory(), n)
 			r := rng.New(17)
 			c.Round(r) // grow pools and caches to steady-state capacity
+			// Finish the GC cycle the set-up started: its background
+			// workers allocate, and at -benchtime 1x that would land in
+			// the one timed iteration.
+			runtime.GC()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

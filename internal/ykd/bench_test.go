@@ -3,6 +3,7 @@ package ykd
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dynvote/internal/proc"
@@ -113,6 +114,12 @@ func (r *stateRound) deliver() {
 // builds the outgoing StateMessage), and the view is a minority of the
 // universe, so DECIDE says no and sends no AttemptMessage.
 func TestStateExchangeAllocFree(t *testing.T) {
+	// The count is process-wide, so keep the runtime's own allocations
+	// out of it: with the collector off the scavenger is not woken to
+	// grow a timer heap, and with one P (as testing.AllocsPerRun runs)
+	// ReadMemStats' restart of the world starts no new M.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, n := range []int{64, 1024} {
 		t.Run(fmt.Sprintf("procs=%d", n), func(t *testing.T) {
 			r := newStateRound(n, proc.Universe(n/2-1))
