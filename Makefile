@@ -84,11 +84,12 @@ alloc-guard:
 set-model:
 	$(GO) test -race -run 'SetModel|FuzzSetModel|BitsModel|BitsReset' -count 1 ./internal/proc/
 
-# race-reset runs the reset-vs-fresh golden tests under the race
-# detector: the per-worker driver reuse in the experiment layer must
-# stay data-race-free at any worker count.
+# race-reset runs the reset-vs-fresh and parallel-determinism tests
+# under the race detector: the experiment layer's flat job list, its
+# per-worker driver reuse and its merge must stay data-race-free at any
+# worker count.
 race-reset:
-	$(GO) test -race -run 'ResetVsFresh' -count 1 ./internal/sim/ ./internal/experiment/
+	$(GO) test -race -run 'ResetVsFresh|ParallelDeterminism' -count 1 ./internal/sim/ ./internal/experiment/
 
 # soak-short is a small sharded safety campaign — every algorithm, a few
 # thousand changes split over 4 chains — built and run under the race

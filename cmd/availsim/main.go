@@ -44,7 +44,7 @@ func run(args []string) (err error) {
 		scaling = fs.Bool("scaling", false, "run the N-scaling study (32..1024 processes) instead of a single case")
 		check   = fs.Bool("check", false, "run safety checker during every run")
 		mout    = fs.String("metrics-out", "", "write a machine-readable JSON run report (results + metrics snapshot) to this file")
-		workers = fs.Int("workers", 0, "run worker budget (0 = GOMAXPROCS, 1 = sequential)")
+		workers = fs.Int("workers", 0, "concurrent workers (0 = GOMAXPROCS, 1 = sequential)")
 		cpuprof = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)

@@ -53,7 +53,7 @@ func run(args []string) (err error) {
 		noext   = fs.Bool("figures-only", false, "skip the in-text measurements")
 		verbose = fs.Bool("v", false, "per-case progress on stderr")
 		mout    = fs.String("metrics-out", "", "write a machine-readable JSON run report (results + metrics snapshot) to this file")
-		workers = fs.Int("workers", 0, "sweep/run worker budget (0 = GOMAXPROCS, 1 = sequential)")
+		workers = fs.Int("workers", 0, "concurrent workers (0 = GOMAXPROCS, 1 = sequential)")
 		cpuprof = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	)

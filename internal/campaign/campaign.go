@@ -1,8 +1,8 @@
 // Package campaign is the engine behind the repository's trial-by-fire
 // (thesis §2.2) at machine scale: it shards a long cascading soak's
-// connectivity-change budget into independent chains per algorithm and
-// schedules algorithms × chains across the experiment layer's shared
-// worker pool, merging per-chain statistics back in chain order.
+// connectivity-change budget into independent chains per algorithm,
+// runs the algorithms × chains jobs on experiment.ParallelWorkers, and
+// merges per-chain statistics back in chain order.
 //
 // The thesis's safety campaign replays 1,310,000 connectivity changes
 // through one cascading chain per algorithm. A single chain is
@@ -216,8 +216,8 @@ var ErrAborted = fmt.Errorf("campaign: chain aborted")
 var errReplayDiverged = fmt.Errorf("campaign: traced replay diverged from the untraced pass")
 
 // Run executes the campaign: len(Factories) × Chains independent
-// cascading chains, scheduled across the experiment worker pool
-// (experiment.SetParallelism bounds concurrency; 1 forces fully
+// cascading chains, run on experiment.ParallelWorkers
+// (experiment.SetParallelism sets the worker count; 1 forces fully
 // sequential execution in (algorithm, chain) order). The returned
 // Result carries per-chain and merged statistics that are identical
 // for any worker count; the error is the first violation in chain
@@ -227,7 +227,7 @@ func Run(cfg Config) (*Result, error) {
 	m := NewMerge(cfg)
 	cfg = m.Config()
 	var abort atomic.Bool
-	experiment.ParallelWorkers(m.Jobs(), func(_, job int) {
+	workers := experiment.ParallelWorkers(m.Jobs(), func(_, job int) {
 		m.Start(job)
 		var stat ChainStats
 		err := runChain(&cfg, cfg.Factories[job/cfg.Chains], job%cfg.Chains, &stat, &abort, m)
@@ -237,8 +237,7 @@ func Run(cfg Config) (*Result, error) {
 		m.Add(job, stat, err)
 	})
 	res, err := m.Result(cfg.Abort != nil && cfg.Abort.Load())
-	// ParallelWorkers starts no more workers than there are jobs.
-	res.Workers = min(experiment.Parallelism(), m.Jobs())
+	res.Workers = workers
 	return res, err
 }
 

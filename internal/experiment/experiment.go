@@ -118,65 +118,8 @@ func (res *CaseResult) record(r sim.RunResult) {
 
 // RunCase executes one measurement cell.
 func RunCase(spec CaseSpec) (CaseResult, error) {
-	res := CaseResult{Algorithm: spec.Factory.Name, MeanRounds: spec.MeanRounds}
-	root := rng.New(spec.Seed)
-
-	switch spec.Mode {
-	case Cascading:
-		// Cascading runs carry the algorithms' state forward; the
-		// network itself heals between turbulence bursts (see
-		// sim.Driver.Heal), and the healing exchange races the next
-		// run's changes.
-		d := sim.NewDriver(spec.Factory, spec.config(), runSeed(root, spec, 0))
-		for run := 0; run < spec.Runs; run++ {
-			d.Heal()
-			r, err := d.Run()
-			if err != nil {
-				return res, fmt.Errorf("%s cascading run %d: %w", spec.Factory.Name, run, err)
-			}
-			res.record(r)
-		}
-	default: // FreshStart
-		// Fresh-start runs are independent by construction: each gets
-		// a per-run source derived from the (spec, run) label alone,
-		// so they can execute on any goroutine in any order. Sources
-		// are derived up front in run order and results merged back in
-		// run order, which keeps every aggregate bit-identical to
-		// sequential execution no matter how many workers the shared
-		// budget grants.
-		//
-		// Each worker builds ONE driver and resets it between the runs
-		// it picks up: run construction — cluster, topology, 64
-		// algorithm instances with their maps — used to dominate the
-		// sweep's allocation profile once the delivery loop went
-		// allocation-free. Reset is bit-identical to rebuild (see the
-		// reset-vs-fresh golden tests), so the reuse is invisible in
-		// the results.
-		results := make([]sim.RunResult, spec.Runs)
-		errs := make([]error, spec.Runs)
-		srcs := make([]*rng.Source, spec.Runs)
-		for run := range srcs {
-			srcs[run] = runSeed(root, spec, run)
-		}
-		drivers := make([]*sim.Driver, min(spec.Runs, Parallelism()))
-		parallelWorkers(spec.Runs, func(worker, run int) {
-			d := drivers[worker]
-			if d == nil {
-				d = sim.NewDriver(spec.Factory, spec.config(), srcs[run])
-				drivers[worker] = d
-			} else {
-				d.Reset(srcs[run])
-			}
-			results[run], errs[run] = d.Run()
-		})
-		for run := 0; run < spec.Runs; run++ {
-			if errs[run] != nil {
-				return res, fmt.Errorf("%s fresh run %d: %w", spec.Factory.Name, run, errs[run])
-			}
-			res.record(results[run])
-		}
-	}
-	return res, nil
+	res, _, err := runCases([]cell{caseCell(spec)}, nil)
+	return res[0], err
 }
 
 // PairedResult reports a run-by-run comparison of two algorithms on
@@ -202,10 +145,10 @@ func (p PairedResult) FirstAdvantagePercent() float64 {
 // RunPaired runs two algorithms over the same random sequences and
 // tallies run-by-run agreement. The spec's Factory field is ignored.
 //
-// Runs are sharded across the shared worker budget like fresh-start
-// RunCase; both arms of one run stay on the same worker (they are a
-// single comparison), and the tally is merged in run order, identical
-// to sequential execution.
+// Runs are spread over ParallelWorkers like fresh-start RunCase; both
+// arms of one run stay on the same worker (they are a single
+// comparison), and the tally is merged in run order, identical to
+// sequential execution.
 func RunPaired(first, second core.Factory, spec CaseSpec) (PairedResult, error) {
 	var out PairedResult
 	root := rng.New(spec.Seed)
@@ -215,32 +158,22 @@ func RunPaired(first, second core.Factory, spec CaseSpec) (PairedResult, error) 
 		err    error
 	}
 	outcomes := make([]outcome, spec.Runs)
-	srcs := make([][2]*rng.Source, spec.Runs)
-	for run := range srcs {
-		for i, f := range factories {
-			// runSeed deliberately ignores the factory — both arms
-			// replay the same draws — but each arm needs its own
-			// source instance to iterate.
-			s := spec
-			s.Factory = f
-			srcs[run][i] = runSeed(root, s, run)
-		}
-	}
-	// One driver pair per worker, reset between runs — the same
-	// construction-amortizing reuse as fresh-start RunCase, kept
-	// per-arm so each algorithm's stack is recycled with itself.
-	drivers := make([][2]*sim.Driver, min(spec.Runs, Parallelism()))
-	parallelWorkers(spec.Runs, func(worker, run int) {
+	// One driver pair per worker, reset between runs — the same reuse
+	// as fresh-start RunCase, kept per arm so each algorithm's stack is
+	// recycled with itself.
+	drivers := make([][2]*sim.Driver, workerCount(spec.Runs))
+	ParallelWorkers(spec.Runs, func(worker, run int) {
 		o := &outcomes[run]
 		for i, f := range factories {
+			// runSeed ignores the factory: both arms replay the same
+			// draws, each from its own source instance.
+			src := runSeed(root, spec, run)
 			d := drivers[worker][i]
 			if d == nil {
-				s := spec
-				s.Factory = f
-				d = sim.NewDriver(f, s.config(), srcs[run][i])
+				d = sim.NewDriver(f, spec.config(), src)
 				drivers[worker][i] = d
 			} else {
-				d.Reset(srcs[run][i])
+				d.Reset(src)
 			}
 			r, err := d.Run()
 			if err != nil {
@@ -250,8 +183,7 @@ func RunPaired(first, second core.Factory, spec CaseSpec) (PairedResult, error) 
 			o.formed[i] = r.PrimaryFormed
 		}
 	})
-	for run := 0; run < spec.Runs; run++ {
-		o := outcomes[run]
+	for _, o := range outcomes {
 		if o.err != nil {
 			return out, o.err
 		}

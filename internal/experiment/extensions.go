@@ -6,7 +6,6 @@ import (
 
 	"dynvote/internal/algset"
 	"dynvote/internal/proc"
-	"dynvote/internal/rng"
 	"dynvote/internal/sim"
 )
 
@@ -43,34 +42,42 @@ type CrashStudyRow struct {
 // RunCrashStudy measures every availability algorithm with and without
 // the crash, on identical random sequences.
 func RunCrashStudy(spec CrashStudySpec) ([]CrashStudyRow, error) {
-	rows := make([]CrashStudyRow, 0, len(algset.Availability()))
-	for _, f := range algset.Availability() {
-		var pair [2]float64
-		for i, crash := range []*sim.CrashPlan{nil, {AfterChanges: spec.AfterChanges, Process: spec.Victim}} {
-			root := rng.New(spec.Seed)
-			cs := CaseSpec{
-				Factory: f, Procs: spec.Procs, Changes: spec.Changes,
-				MeanRounds: spec.MeanRounds, Runs: spec.Runs,
-				Mode: FreshStart, Seed: spec.Seed,
-			}
-			formed := 0
-			for run := 0; run < spec.Runs; run++ {
-				cfg := cs.config()
-				cfg.Crash = crash
-				d := sim.NewDriver(f, cfg, runSeed(root, cs, run))
-				r, err := d.Run()
-				if err != nil {
-					return nil, fmt.Errorf("%s crash study run %d: %w", f.Name, run, err)
-				}
-				if r.PrimaryFormed {
-					formed++
-				}
-			}
-			pair[i] = 100 * float64(formed) / float64(spec.Runs)
-		}
-		rows = append(rows, CrashStudyRow{Algorithm: f.Name, Baseline: pair[0], Crashed: pair[1]})
+	crash := &sim.CrashPlan{AfterChanges: spec.AfterChanges, Process: spec.Victim}
+	res, _, err := runCases(availabilityCells(CaseSpec{
+		Procs: spec.Procs, Changes: spec.Changes, MeanRounds: spec.MeanRounds, Runs: spec.Runs, Seed: spec.Seed,
+	}, nil, func(cfg *sim.Config) { cfg.Crash = crash }), nil)
+	if err != nil {
+		return nil, fmt.Errorf("crash study: %w", err)
+	}
+	rows := make([]CrashStudyRow, 0, len(res)/2)
+	for i := 0; i < len(res); i += 2 {
+		rows = append(rows, CrashStudyRow{
+			Algorithm: res[i].Algorithm,
+			Baseline:  res[i].Availability.Percent(),
+			Crashed:   res[i+1].Availability.Percent(),
+		})
 	}
 	return rows, nil
+}
+
+// availabilityCells returns one fresh-start cell per availability
+// algorithm and driver variant, algorithm-major; a nil variant runs
+// the spec's configuration as is. Every cell replays the same random
+// sequences.
+func availabilityCells(spec CaseSpec, variants ...func(*sim.Config)) []cell {
+	var cells []cell
+	spec.Mode = FreshStart
+	for _, f := range algset.Availability() {
+		spec.Factory = f
+		for _, vary := range variants {
+			c := caseCell(spec)
+			if vary != nil {
+				vary(&c.cfg)
+			}
+			cells = append(cells, c)
+		}
+	}
+	return cells
 }
 
 // RenderCrashStudy renders the crash study as a text table.
@@ -119,50 +126,29 @@ func RunTimingStudy(spec TimingStudySpec) ([]TimingStudyRow, error) {
 	if spec.BurstSize == 0 {
 		spec.BurstSize = 3
 	}
-	schedules := []sim.Schedule{
-		sim.GeometricSchedule{MeanRounds: spec.MeanRounds},
-		sim.PeriodicSchedule{Every: int(spec.MeanRounds + 0.5)},
-		sim.ClusteredSchedule{
-			// One cluster of BurstSize changes per BurstSize×mean
-			// rounds keeps the long-run change rate equal.
-			MeanRounds: spec.MeanRounds*float64(spec.BurstSize) + float64(spec.BurstSize-1),
-			BurstSize:  spec.BurstSize,
+	mean, burst := spec.MeanRounds, spec.BurstSize
+	res, _, err := runCases(availabilityCells(CaseSpec{
+		Procs: spec.Procs, Changes: spec.Changes, MeanRounds: mean, Runs: spec.Runs, Seed: spec.Seed,
+	},
+		func(cfg *sim.Config) { cfg.Schedule = sim.GeometricSchedule{MeanRounds: mean} },
+		func(cfg *sim.Config) { cfg.Schedule = sim.PeriodicSchedule{Every: int(mean + 0.5)} },
+		// One cluster of BurstSize changes per BurstSize×mean rounds
+		// keeps the long-run change rate equal.
+		func(cfg *sim.Config) {
+			cfg.Schedule = sim.ClusteredSchedule{MeanRounds: mean*float64(burst) + float64(burst-1), BurstSize: burst}
 		},
+	), nil)
+	if err != nil {
+		return nil, fmt.Errorf("timing study: %w", err)
 	}
-	rows := make([]TimingStudyRow, 0, len(algset.Availability()))
-	for _, f := range algset.Availability() {
-		row := TimingStudyRow{Algorithm: f.Name}
-		for si, schedule := range schedules {
-			root := rng.New(spec.Seed)
-			cs := CaseSpec{
-				Factory: f, Procs: spec.Procs, Changes: spec.Changes,
-				MeanRounds: spec.MeanRounds, Runs: spec.Runs,
-				Mode: FreshStart, Seed: spec.Seed,
-			}
-			formed := 0
-			for run := 0; run < spec.Runs; run++ {
-				cfg := cs.config()
-				cfg.Schedule = schedule
-				d := sim.NewDriver(f, cfg, runSeed(root, cs, run))
-				r, err := d.Run()
-				if err != nil {
-					return nil, fmt.Errorf("%s timing study run %d: %w", f.Name, run, err)
-				}
-				if r.PrimaryFormed {
-					formed++
-				}
-			}
-			pct := 100 * float64(formed) / float64(spec.Runs)
-			switch si {
-			case 0:
-				row.Geometric = pct
-			case 1:
-				row.Periodic = pct
-			case 2:
-				row.Clustered = pct
-			}
-		}
-		rows = append(rows, row)
+	rows := make([]TimingStudyRow, 0, len(res)/3)
+	for i := 0; i < len(res); i += 3 {
+		rows = append(rows, TimingStudyRow{
+			Algorithm: res[i].Algorithm,
+			Geometric: res[i].Availability.Percent(),
+			Periodic:  res[i+1].Availability.Percent(),
+			Clustered: res[i+2].Availability.Percent(),
+		})
 	}
 	return rows, nil
 }
@@ -212,21 +198,19 @@ type LatencyStudyRow struct {
 // RunLatencyStudy measures re-formation latency for every availability
 // algorithm on identical random sequences.
 func RunLatencyStudy(spec LatencyStudySpec) ([]LatencyStudyRow, error) {
-	rows := make([]LatencyStudyRow, 0, len(algset.Availability()))
-	for _, f := range algset.Availability() {
-		res, err := RunCase(CaseSpec{
-			Factory: f, Procs: spec.Procs, Changes: spec.Changes,
-			MeanRounds: spec.MeanRounds, Runs: spec.Runs,
-			Mode: FreshStart, Seed: spec.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
+	res, _, err := runCases(availabilityCells(CaseSpec{
+		Procs: spec.Procs, Changes: spec.Changes, MeanRounds: spec.MeanRounds, Runs: spec.Runs, Seed: spec.Seed,
+	}, nil), nil)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]LatencyStudyRow, 0, len(res))
+	for _, r := range res {
 		rows = append(rows, LatencyStudyRow{
-			Algorithm:    f.Name,
-			MeanRounds:   res.Reform.Mean(),
-			MaxRounds:    res.Reform.Max(),
-			NeverPercent: 100 * float64(res.NeverReformed) / float64(spec.Runs),
+			Algorithm:    r.Algorithm,
+			MeanRounds:   r.Reform.Mean(),
+			MaxRounds:    r.Reform.Max(),
+			NeverPercent: 100 * float64(r.NeverReformed) / float64(spec.Runs),
 		})
 	}
 	return rows, nil

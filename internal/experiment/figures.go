@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dynvote/internal/algset"
+	"dynvote/internal/core"
 	"dynvote/internal/metrics"
 )
 
@@ -72,17 +73,15 @@ func AvailabilityFigure(id string, changes int, mode Mode, o Options) FigureSpec
 		ID:      id,
 		Caption: caption,
 		Kind:    KindAvailability,
-		Sweeps: []SweepSpec{{
-			Factories: algset.Availability(),
-			Procs:     o.Procs,
-			Changes:   changes,
-			Rates:     o.Rates,
-			Runs:      o.Runs,
-			Mode:      mode,
-			Seed:      o.Seed,
-			Progress:  o.Progress,
-			Metrics:   o.Metrics,
-		}},
+		Sweeps:  []SweepSpec{o.sweep(algset.Availability(), changes, mode)},
+	}
+}
+
+// sweep is the SweepSpec of one figure panel under these options.
+func (o Options) sweep(factories []core.Factory, changes int, mode Mode) SweepSpec {
+	return SweepSpec{
+		Factories: factories, Procs: o.Procs, Changes: changes, Rates: o.Rates, Runs: o.Runs,
+		Mode: mode, Seed: o.Seed, Progress: o.Progress, Metrics: o.Metrics,
 	}
 }
 
@@ -94,17 +93,7 @@ func AmbiguityFigure(id, caption string, o Options) FigureSpec {
 	o = o.Defaults()
 	sweeps := make([]SweepSpec, 0, 3)
 	for _, changes := range []int{2, 6, 12} {
-		sweeps = append(sweeps, SweepSpec{
-			Factories: algset.AmbiguousSessions(),
-			Procs:     o.Procs,
-			Changes:   changes,
-			Rates:     o.Rates,
-			Runs:      o.Runs,
-			Mode:      FreshStart,
-			Seed:      o.Seed,
-			Progress:  o.Progress,
-			Metrics:   o.Metrics,
-		})
+		sweeps = append(sweeps, o.sweep(algset.AmbiguousSessions(), changes, FreshStart))
 	}
 	return FigureSpec{ID: id, Caption: caption, Kind: KindAmbiguity, Sweeps: sweeps}
 }

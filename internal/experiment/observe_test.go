@@ -78,8 +78,9 @@ func TestSweepMetrics(t *testing.T) {
 	if h := s.Histograms["sweep_case_seconds"]; h.Count != cases {
 		t.Errorf("sweep_case_seconds count = %d, want %d", h.Count, cases)
 	}
-	if g := s.Gauges["sweep_workers"]; g < 1 || g > cases {
-		t.Errorf("sweep_workers = %d, want 1..%d", g, cases)
+	// One job per fresh-start run, so up to cases × Runs workers.
+	if g, want := s.Gauges["sweep_workers"], min(int64(experiment.Parallelism()), cases*int64(spec.Runs)); g != want {
+		t.Errorf("sweep_workers = %d, want %d", g, want)
 	}
 	if got := s.Counters["sim_runs_total"]; got != cases*int64(spec.Runs) {
 		t.Errorf("sim_runs_total = %d, want %d", got, cases*int64(spec.Runs))

@@ -8,10 +8,10 @@ import (
 	"dynvote/internal/experiment"
 )
 
-// The run-level parallelism contract: however many workers the shared
-// budget grants, RunCase and RunPaired produce results bit-identical
-// to sequential execution. Per-run sources are derived in run order
-// and aggregates merged in run order, so scheduling must be invisible.
+// The parallelism contract: however many workers run, RunCase, RunPaired
+// and RunSweep produce results bit-identical to sequential execution.
+// Per-run sources depend on the run alone and aggregates merge in run
+// order, so scheduling must be invisible.
 
 func runAllCases(t *testing.T, mode experiment.Mode) map[string]experiment.CaseResult {
 	t.Helper()
@@ -91,30 +91,44 @@ func TestRunPairedParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunSweepParallelDeterminism covers the outer layer: a small
-// two-algorithm sweep must be invariant under the worker budget too.
+// TestRunSweepParallelDeterminism covers the sweep: a small
+// two-algorithm sweep, in both modes, must give the same series and
+// the same CSV bytes at 1, 2 and 8 workers.
 func TestRunSweepParallelDeterminism(t *testing.T) {
 	defer experiment.SetParallelism(0)
-	spec := experiment.SweepSpec{
-		Factories: algset.All()[:2],
-		Procs:     24,
-		Changes:   4,
-		Rates:     []float64{0, 3},
-		Runs:      15,
-		Mode:      experiment.FreshStart,
-		Seed:      7,
-	}
-	experiment.SetParallelism(1)
-	sequential, err := experiment.RunSweep(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	experiment.SetParallelism(4)
-	parallel, err := experiment.RunSweep(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sequential, parallel) {
-		t.Errorf("sweep differs under parallelism:\nseq: %+v\npar: %+v", sequential, parallel)
+	for _, mode := range []experiment.Mode{experiment.FreshStart, experiment.Cascading} {
+		spec := experiment.SweepSpec{
+			Factories: algset.All()[:2],
+			Procs:     24,
+			Changes:   4,
+			Rates:     []float64{0, 3},
+			Runs:      15,
+			Mode:      mode,
+			Seed:      7,
+		}
+		var (
+			first []experiment.Series
+			csv   string
+		)
+		for _, workers := range []int{1, 2, 8} {
+			experiment.SetParallelism(workers)
+			series, err := experiment.RunSweep(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := experiment.RenderAvailabilityCSV(spec, series) +
+				experiment.RenderAmbiguityCSV(spec, series, true) +
+				experiment.RenderAmbiguityCSV(spec, series, false)
+			if first == nil {
+				first, csv = series, got
+				continue
+			}
+			if !reflect.DeepEqual(first, series) {
+				t.Errorf("%s: %d-worker sweep differs from sequential:\nseq: %+v\npar: %+v", mode, workers, first, series)
+			}
+			if got != csv {
+				t.Errorf("%s: %d-worker CSV bytes differ from sequential:\nseq:\n%s\npar:\n%s", mode, workers, csv, got)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"dynvote/internal/algset"
 )
@@ -93,23 +94,26 @@ type ScalingRow struct {
 func RunScalingStudy(spec ScalingStudySpec) ([]ScalingRow, error) {
 	spec = spec.Defaults()
 	ykdF := algset.Availability()[0]
-	rows := make([]ScalingRow, 0, len(spec.Sizes))
+	var cells []cell
 	for _, n := range spec.Sizes {
-		row := ScalingRow{Procs: n, Points: make([]CaseResult, 0, len(spec.Rates))}
 		for _, rate := range spec.Rates {
-			res, err := RunCase(CaseSpec{
+			cells = append(cells, caseCell(CaseSpec{
 				Factory: ykdF, Procs: n, Changes: spec.Changes,
 				MeanRounds: rate, Runs: spec.runsFor(n), Mode: FreshStart, Seed: spec.Seed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("scaling study at %d procs, rate %g: %w", n, rate, err)
-			}
-			row.Points = append(row.Points, res)
-			if spec.Progress != nil {
-				spec.Progress(fmt.Sprintf("scaling: %d procs, rate %g: %s", n, rate, res.Availability))
-			}
+			}))
 		}
-		rows = append(rows, row)
+	}
+	res, _, err := runCases(cells, func(c int, r CaseResult, _ time.Duration) {
+		if spec.Progress != nil {
+			spec.Progress(fmt.Sprintf("scaling: %d procs, rate %g: %s", cells[c].spec.Procs, r.MeanRounds, r.Availability))
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scaling study: %w", err)
+	}
+	rows, k := make([]ScalingRow, 0, len(spec.Sizes)), len(spec.Rates)
+	for i, n := range spec.Sizes {
+		rows = append(rows, ScalingRow{Procs: n, Points: res[i*k : (i+1)*k : (i+1)*k]})
 	}
 	return rows, nil
 }

@@ -150,3 +150,19 @@ func TestResetVsFreshGoldenPermanentCrash(t *testing.T) {
 		checkStreams(t, f, cfg, 6)
 	}
 }
+
+// TestResetVsFreshGoldenSchedules covers the non-geometric change
+// timings of the §5.1 timing study, whose runs share one driver per
+// cell: a reset must leave the schedule's round count and burst draws
+// where a fresh driver starts them.
+func TestResetVsFreshGoldenSchedules(t *testing.T) {
+	for _, schedule := range []sim.Schedule{
+		sim.PeriodicSchedule{Every: 2},
+		sim.ClusteredSchedule{MeanRounds: 8, BurstSize: 3},
+	} {
+		cfg := sim.Config{Procs: 16, Changes: 6, MeanRounds: 2, CheckSafety: true, Schedule: schedule}
+		for _, f := range algset.All() {
+			checkStreams(t, f, cfg, 6)
+		}
+	}
+}
