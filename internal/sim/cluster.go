@@ -117,6 +117,12 @@ type Cluster struct {
 	// (deliveries, drops, view installations). Nil costs one branch
 	// per delivery step.
 	Metrics *Metrics
+
+	// Two-stage delivery (pipeline.go): pipelined is set for the length
+	// of a Driver.Run on a multi-core machine; exec is built at the first
+	// batch large enough to use it and kept for the cluster's life.
+	pipelined bool
+	exec      *executor
 }
 
 // NewCluster creates n algorithm instances, all starting in the
@@ -441,7 +447,8 @@ func (c *Cluster) PendingDeliveries() int { return c.pending }
 // bit-identical to one built from single steps whatever the batch
 // sizes. The driver relies on this to keep the golden streams stable
 // while the checker contract (changes may land between any two
-// deliveries) caps each batch at the next strike.
+// deliveries) caps each batch at the next strike. Inside a Driver.Run a
+// large batch runs in two stages (pipeline.go), in the same order.
 func (c *Cluster) DeliverBatch(r *rng.Source, n int) {
 	if n > c.pending {
 		n = c.pending
@@ -450,75 +457,90 @@ func (c *Cluster) DeliverBatch(r *rng.Source, n int) {
 		return
 	}
 	c.pending -= n
-	lanes := c.lanes
-	queues := c.queues
-	curID := c.curID
-	algs := c.algs
-	drop := c.Drop
-	tracing := c.Trace != nil
+	if c.pipelined && n >= pipelineMin {
+		c.deliverPipelined(r, n)
+		return
+	}
 	var delivered, dropped int64
-	ai := r.Intn(len(lanes))
-	next := lanes[ai].recips[0]
+	ai := r.Intn(len(c.lanes))
+	next := c.lanes[ai].recips[0]
 	for ; n > 0; n-- {
-		to := next
-		l := &lanes[ai]
+		to, l := next, &c.lanes[ai]
 		sender, viewID, msg := l.sender, l.viewID, l.msg
-		l.recips = l.recips[1:]
-		if len(l.recips) == 0 {
-			// The head envelope is finished: recycle it, then load the
-			// next one into the lane or retire the lane.
-			q := queues[sender]
-			c.releaseEnvelope(q[0])
-			copy(q, q[1:])
-			q[len(q)-1] = nil
-			q = q[:len(q)-1]
-			queues[sender] = q
-			if len(q) > 0 {
-				l.recips, l.viewID, l.msg = q[0].recipients, q[0].viewID, q[0].msg
-			} else {
-				last := len(lanes) - 1
-				lanes[ai] = lanes[last]
-				lanes[last] = lane{} // the vacated slot must not pin msg
-				lanes = lanes[:last]
-			}
-		}
+		c.advance(l, ai)
 		// Draw the next step's lane and load its recipient before this
 		// step's handler runs, so that load's cache miss overlaps the
 		// handler. Handlers and drop filters cannot reach the cluster or
 		// r, so the draws are the same in number and order.
 		if n > 1 {
-			ai = r.Intn(len(lanes))
-			next = lanes[ai].recips[0]
+			ai = r.Intn(len(c.lanes))
+			next = c.lanes[ai].recips[0]
 		}
-
-		switch {
-		case curID[to] != viewID:
-			// Dropped: the recipient left the view (view-synchronous
-			// semantics) or crashed (curID -1).
-			dropped++
-			if tracing {
-				why := "view changed"
-				if c.crashedFlag[to] {
-					why = "crashed"
-				}
-				c.traceDelivery(trace.KindDrop, sender, to, msg, why)
-			}
-		case drop != nil && drop(proc.ID(sender), proc.ID(to), msg):
-			// Dropped by the test's filter.
-			dropped++
-			if tracing {
-				c.traceDelivery(trace.KindDrop, sender, to, msg, "filtered")
-			}
-		default:
-			algs[to].Deliver(proc.ID(sender), msg)
+		if c.deliverStep(to, sender, viewID, msg) {
 			delivered++
-			if tracing {
-				c.traceDelivery(trace.KindDeliver, sender, to, msg, "")
-			}
+		} else {
+			dropped++
 		}
 	}
-	c.lanes = lanes
 	c.Metrics.observeDeliveries(delivered, dropped)
+}
+
+// advance consumes the next recipient of lane l, which is c.lanes[ai].
+// Small enough to inline; the end of an envelope is nextEnvelope's.
+func (c *Cluster) advance(l *lane, ai int) {
+	if len(l.recips) > 1 {
+		l.recips = l.recips[1:]
+	} else {
+		c.nextEnvelope(ai)
+	}
+}
+
+// nextEnvelope consumes the last recipient of lane ai's head envelope:
+// it recycles the envelope, then loads the sender's next one into the
+// lane or retires the lane by moving the last lane into its slot.
+func (c *Cluster) nextEnvelope(ai int) {
+	l := &c.lanes[ai]
+	q := c.queues[l.sender]
+	c.releaseEnvelope(q[0])
+	copy(q, q[1:])
+	q[len(q)-1] = nil
+	q = q[:len(q)-1]
+	c.queues[l.sender] = q
+	if len(q) > 0 {
+		l.recips, l.viewID, l.msg = q[0].recipients, q[0].viewID, q[0].msg
+		return
+	}
+	last := len(c.lanes) - 1
+	c.lanes[ai] = c.lanes[last]
+	c.lanes[last] = lane{} // the vacated slot must not pin msg
+	c.lanes = c.lanes[:last]
+}
+
+// deliverStep runs one delivery step and reports whether msg reached
+// to's handler. It drops msg when to has crashed or moved to a view other
+// than viewID (curID -1 or another ID), or when the test filter says so.
+func (c *Cluster) deliverStep(to int32, sender int, viewID int64, msg core.Message) bool {
+	switch {
+	case c.curID[to] != viewID:
+		if c.Trace != nil {
+			why := "view changed"
+			if c.crashedFlag[to] {
+				why = "crashed"
+			}
+			c.traceDelivery(trace.KindDrop, sender, to, msg, why)
+		}
+		return false
+	case c.Drop != nil && c.Drop(proc.ID(sender), proc.ID(to), msg):
+		if c.Trace != nil {
+			c.traceDelivery(trace.KindDrop, sender, to, msg, "filtered")
+		}
+		return false
+	}
+	c.algs[to].Deliver(proc.ID(sender), msg)
+	if c.Trace != nil {
+		c.traceDelivery(trace.KindDeliver, sender, to, msg, "")
+	}
+	return true
 }
 
 // traceDelivery records one delivery step, or passes it over when the

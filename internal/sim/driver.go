@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 
 	"dynvote/internal/core"
 	"dynvote/internal/metrics"
@@ -125,8 +126,8 @@ type CrashPlan struct {
 // of collect-and-deliver with connectivity changes injected at random
 // positions inside a round, so that changes can interrupt attempts
 // mid-protocol. A Driver retains all state between runs, which is what
-// the "cascading" experiments rely on; fresh-start experiments build a
-// new Driver per run.
+// the "cascading" experiments rely on; fresh-start experiments Reset
+// one Driver between runs.
 type Driver struct {
 	cfg     Config
 	cluster *Cluster
@@ -204,9 +205,17 @@ func (d *Driver) Topology() *netsim.Topology { return d.topo }
 // Run executes one run: inject cfg.Changes connectivity changes at the
 // configured rate while routing messages, then let the system run to
 // quiescence, and report the outcome. Calling Run again continues from
-// the current state (a cascading run); use a fresh Driver for
-// fresh-start semantics.
+// the current state (a cascading run); Reset first for fresh-start
+// semantics.
+//
+// On a machine with more than one core, Run's large delivery batches
+// run in two stages (pipeline.go): an executor goroutine runs the
+// handlers while Run's goroutine plans the next steps. The executor is
+// joined before Run returns, on an error or a panic too, and a
+// handler's panic is raised again here.
 func (d *Driver) Run() (RunResult, error) {
+	d.cluster.pipelined = runtime.GOMAXPROCS(0) > 1
+	defer d.cluster.endRun()
 	res := RunResult{AmbiguousAtChanges: make([]int, 0, d.cfg.Changes), ReformRounds: -1}
 	remaining := d.cfg.Changes
 	lastChangeRound := 0
